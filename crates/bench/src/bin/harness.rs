@@ -1273,6 +1273,12 @@ fn f19_incremental_maintenance() {
     println!();
 }
 
+/// F20's deadline and admission-storm query. It pairs every key with every
+/// other key, so its witnesses span conflict components and every key is
+/// a certain answer: the fold cannot stop early and has to stream the
+/// whole 2^14 repair family.
+const F20_SPANNING: &str = "Q(x) :- T(x, y), T(z, w), x != z";
+
 fn f20_server() {
     use cqa_exec::{with_threads, AdmissionGate, CancelToken, ServiceGroup};
     use cqa_server::{api, start, Json, Request, ServerConfig, ServerState, SessionStore};
@@ -1399,9 +1405,10 @@ fn f20_server() {
     );
     // Warm sessions ride the fleet-wide subplan cache. The key lookup above
     // is answered by the planner's polynomial path, so the demonstration
-    // uses a small fold-class tenant: possible answers enumerate a 2^6
-    // repair family, and the second ask replays it entirely from cache —
-    // /health exposes the hit/miss counters it just accrued.
+    // uses a small fold-class tenant: possible answers fold a 2^6 repair
+    // family per conflict component (13 evaluations), and the second ask
+    // replays them entirely from cache — /health exposes the hit/miss
+    // counters it just accrued.
     let (small_db, _) = key_conflict_instance(200, 6, 2, 9);
     let small_body = format!(
         "{{\"db\": {}, \"constraints\": {}}}",
@@ -1436,8 +1443,10 @@ fn f20_server() {
     // Graceful degradation: a 2^14-repair tenant with a 60 ms deadline on
     // cardinality-class certain answers. Every reply must come back
     // promptly as a 200 whose body carries the deadline truncation; the
-    // slack on the bound covers the expansion's post-deadline teardown
-    // (dropping the expanded prefix), not open-ended computation.
+    // slack on the bound covers the fold's post-deadline teardown, not
+    // open-ended computation. The query's witnesses span conflict
+    // components, so the fold streams the whole 2^14 cross-product (a
+    // component-local query would be folded per component, in 28 views).
     let (hard, _s) = key_conflict_instance(200, 14, 2, 3);
     let hard_body = format!(
         "{{\"db\": {}, \"constraints\": {}}}",
@@ -1449,7 +1458,7 @@ fn f20_server() {
     let hard_id = f20_session_id(&reply);
     let timeout_ms = 60u64;
     let deadline_query = format!(
-        "{{\"query\": \"Q(x) :- T(x, y)\", \"class\": \"cardinality\", \"timeout_ms\": {timeout_ms}}}"
+        "{{\"query\": \"{F20_SPANNING}\", \"class\": \"cardinality\", \"timeout_ms\": {timeout_ms}}}"
     );
     // 2 untimed warmups (first-touch lazy artifacts), then 56 timed
     // queries: with nearest-rank p99 that index is the second-largest
@@ -1513,14 +1522,16 @@ fn f20_server() {
     for &id in &storm_ids {
         let tx = tx.clone();
         let spawned = stormers.spawn("f20-storm-client", move || {
-            let body = r#"{"query": "Q(x) :- T(x, y)", "class": "cardinality", "timeout_ms": 250}"#;
+            let body = format!(
+                "{{\"query\": \"{F20_SPANNING}\", \"class\": \"cardinality\", \"timeout_ms\": 250}}"
+            );
             // One keep-alive connection per client: a 429 must leave the
             // connection usable for the retry.
             let mut client = F20Client::connect(addr2);
             let mut refused = 0u64;
             loop {
                 let (status, reply) =
-                    client.request("POST", &format!("/sessions/{id}/query"), body);
+                    client.request("POST", &format!("/sessions/{id}/query"), &body);
                 match status {
                     200 => break,
                     429 => {

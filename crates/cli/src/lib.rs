@@ -13,7 +13,7 @@
 
 use cqa_analysis::{DiagCode, Diagnostic};
 use cqa_constraints::{parse_constraints, ConstraintSet};
-use cqa_core::{RepairClass, Strategy};
+use cqa_core::{AnswerKind, RepairClass, Request, Strategy};
 use cqa_exec::{Budget, Limits, Outcome};
 use cqa_query::{parse_query, UnionQuery};
 use cqa_relation::Database;
@@ -620,48 +620,29 @@ fn cmd_repairs(opts: &Opts, out: &mut String) -> Result<i32, String> {
         ),
         None => None,
     };
-    match class {
-        RepairClass::AttributeNull => {
-            // Attribute repairs are computed in polynomial time; no budget
-            // is needed and the result is always exact.
-            let repairs = cqa_core::attribute_repairs(&db, &sigma).map_err(|e| e.to_string())?;
-            let _ = writeln!(out, "{} attribute repairs", repairs.len());
-            for r in repairs.iter().take(limit.unwrap_or(usize::MAX)) {
-                let _ = writeln!(out, "  {r}");
-            }
+    let shown = limit.unwrap_or(usize::MAX);
+    if class == RepairClass::AttributeNull {
+        // Attribute repairs are computed in polynomial time; no budget
+        // is needed and the result is always exact.
+        let repairs = cqa_core::attribute_repairs(&db, &sigma).map_err(|e| e.to_string())?;
+        let _ = writeln!(out, "{} attribute repairs", repairs.len());
+        for r in repairs.iter().take(shown) {
+            let _ = writeln!(out, "  {r}");
         }
-        RepairClass::Cardinality => {
-            let base = Arc::new(db);
-            let repairs = cqa_core::c_repairs_budgeted(
-                &base,
-                &sigma,
-                &cqa_core::RepairOptions::default(),
-                &budget,
-            )
-            .map_err(|e| e.to_string())?;
-            note_truncation(out, &repairs);
-            let repairs = repairs.into_value();
-            let _ = writeln!(out, "{} C-repairs", repairs.len());
-            for r in repairs.iter().take(limit.unwrap_or(usize::MAX)) {
-                let _ = writeln!(out, "  {r}");
-            }
-        }
-        _ => {
-            let options = cqa_core::RepairOptions {
-                limit,
-                allow_insertions: !matches!(class, RepairClass::SubsetDeletionsOnly),
-                ..Default::default()
-            };
-            let base = Arc::new(db);
-            let repairs = cqa_core::s_repairs_budgeted(&base, &sigma, &options, &budget)
-                .map_err(|e| e.to_string())?;
-            note_truncation(out, &repairs);
-            let repairs = repairs.into_value();
-            let _ = writeln!(out, "{} S-repairs", repairs.len());
-            for r in &repairs {
-                let _ = writeln!(out, "  {r}");
-            }
-        }
+        return Ok(0);
+    }
+    let repairs = cqa_core::repairs_budgeted(&Arc::new(db), &sigma, class, limit, &budget)
+        .map_err(|e| e.to_string())?;
+    note_truncation(out, &repairs);
+    let repairs = repairs.into_value();
+    let label = if class == RepairClass::Cardinality {
+        "C"
+    } else {
+        "S"
+    };
+    let _ = writeln!(out, "{} {label}-repairs", repairs.len());
+    for r in repairs.iter().take(shown) {
+        let _ = writeln!(out, "  {r}");
     }
     Ok(0)
 }
@@ -670,63 +651,49 @@ fn cmd_cqa(opts: &Opts, out: &mut String) -> Result<i32, String> {
     let db = load_db(opts)?;
     let sigma = load_sigma(opts)?;
     let query = load_query(opts)?;
-    let class = repair_class(opts)?;
-    let budget = budget_from(opts)?;
-    if opts.has("possible") {
-        let answers = cqa_core::possible_answers_budgeted(&db, &sigma, &query, &class, &budget)
-            .map_err(|e| e.to_string())?;
-        note_truncation(out, &answers);
-        let answers = answers.into_value();
-        let _ = writeln!(out, "{} possible answers", answers.len());
-        for t in &answers {
-            let _ = writeln!(out, "  {t}");
-        }
-        return Ok(0);
-    }
-    // The planner reports its strategy for the default class.
-    if matches!(class, RepairClass::Subset) {
-        let planned = cqa_core::answer_consistently_budgeted(&db, &sigma, &query, &budget)
-            .map_err(|e| e.to_string())?;
-        note_truncation(out, &planned);
-        let planned = planned.into_value();
-        let strategy = match &planned.strategy {
-            Strategy::FoRewriting => "FO rewriting (no repairs materialized)".to_string(),
-            Strategy::DirectEvaluation => "direct evaluation (instance consistent)".to_string(),
-            Strategy::RepairEnumeration { reason } => {
-                format!("repair enumeration ({reason})")
-            }
-            Strategy::FactoredEnumeration {
-                reason,
-                factorization,
-            } => {
-                let product = match factorization.product_repairs {
-                    Some(p) => p.to_string(),
-                    None => "> usize::MAX".to_string(),
-                };
-                format!(
-                    "factored repair enumeration over {} conflict components \
-                     ({}; folded {} component-local repairs, not {})",
-                    factorization.components, reason, factorization.factored_repairs, product,
-                )
-            }
-        };
-        let _ = writeln!(out, "strategy: {strategy}");
-        for d in &planned.diagnostics {
-            let _ = writeln!(out, "note: {d}");
-        }
-        let _ = writeln!(out, "{} consistent answers", planned.answers.len());
-        for t in &planned.answers {
-            let _ = writeln!(out, "  {t}");
-        }
+    let (kind, label) = if opts.has("possible") {
+        (AnswerKind::Possible, "possible")
     } else {
-        let answers = cqa_core::consistent_answers_budgeted(&db, &sigma, &query, &class, &budget)
-            .map_err(|e| e.to_string())?;
-        note_truncation(out, &answers);
-        let answers = answers.into_value();
-        let _ = writeln!(out, "{} consistent answers", answers.len());
-        for t in &answers {
-            let _ = writeln!(out, "  {t}");
+        (AnswerKind::Certain, "consistent")
+    };
+    let request = Request {
+        query: &query,
+        kind,
+        class: repair_class(opts)?,
+    };
+    let budget = budget_from(opts)?;
+    let planned =
+        cqa_core::answer(&db, &sigma, None, &request, &budget).map_err(|e| e.to_string())?;
+    note_truncation(out, &planned);
+    let planned = planned.into_value();
+    let strategy = match &planned.strategy {
+        Strategy::FoRewriting => "FO rewriting (no repairs materialized)".to_string(),
+        Strategy::DirectEvaluation => "direct evaluation (instance consistent)".to_string(),
+        Strategy::RepairEnumeration { reason } => {
+            format!("repair enumeration ({reason})")
         }
+        Strategy::FactoredEnumeration {
+            reason,
+            factorization,
+        } => {
+            let product = match factorization.product_repairs {
+                Some(p) => p.to_string(),
+                None => "> usize::MAX".to_string(),
+            };
+            format!(
+                "factored repair enumeration over {} conflict components \
+                 ({}; folded {} component-local repairs, not {})",
+                factorization.components, reason, factorization.factored_repairs, product,
+            )
+        }
+    };
+    let _ = writeln!(out, "strategy: {strategy}");
+    for d in &planned.diagnostics {
+        let _ = writeln!(out, "note: {d}");
+    }
+    let _ = writeln!(out, "{} {label} answers", planned.answers.len());
+    for t in &planned.answers {
+        let _ = writeln!(out, "  {t}");
     }
     Ok(0)
 }

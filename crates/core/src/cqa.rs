@@ -12,27 +12,29 @@
 //! don't join" behaviour. Certain answers containing a null are discarded —
 //! a null is not a certain value.
 //!
-//! Since the repair class can be exponentially large (§3.1), per-repair
-//! query evaluation is spread across the `cqa-exec` pool. Each repair is
-//! evaluated independently and the per-repair answer sets are folded in
-//! repair order (intersection and union are order-insensitive anyway), so
-//! results are byte-identical at every thread count.
+//! Every fold over a repair family — monolithic or factored, certain or
+//! possible, budgeted or not — runs through one private driver, `fold`.
+//! Since the repair class can be exponentially large (§3.1), it spreads
+//! per-repair query evaluation across the `cqa-exec` pool and folds the
+//! per-repair answer sets in repair order (intersection and union are
+//! order-insensitive anyway), so results are byte-identical at every
+//! thread count.
 
 // audit:exponential — folds over the (worst-case exponential) repair family; every search loop must thread a Budget.
 use crate::attr_repair::attribute_repairs;
-use crate::crepair::{c_repairs_arc, c_repairs_budgeted};
+use crate::crepair::c_repairs_budgeted;
 use crate::factored::{FactoredRepairSet, Factorization};
 use crate::repair::Repair;
-use crate::srepair::{s_repairs_budgeted, s_repairs_with_arc, RepairOptions};
+use crate::srepair::{s_repairs_budgeted, RepairOptions};
 use cqa_constraints::ConstraintSet;
 use cqa_exec::{Budget, Outcome};
-use cqa_query::{eval_aggregate, eval_ucq, AggregateQuery, NullSemantics, UnionQuery};
+use cqa_query::{eval_aggregate, AggregateQuery, ConjunctiveQuery, NullSemantics, UnionQuery};
 use cqa_relation::{Database, DeltaView, Facts, RelationError, Tid, Tuple, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Which class of repairs CQA quantifies over.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RepairClass {
     /// S-repairs (⊆-minimal symmetric difference), the default of \[3\].
     Subset,
@@ -42,6 +44,15 @@ pub enum RepairClass {
     Cardinality,
     /// Attribute-based null repairs, §4.3.
     AttributeNull,
+}
+
+/// Which answers a CQA question asks for (§3.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AnswerKind {
+    /// Certain (consistent) answers: returned by *every* repair.
+    Certain,
+    /// Possible (brave) answers: returned by at least one repair.
+    Possible,
 }
 
 /// The chosen repair class, kept as copy-on-write deltas when the semantics
@@ -61,42 +72,18 @@ impl RepairSet {
             RepairSet::Materialized(d) => d.len(),
         }
     }
-}
 
-/// Enumerate the chosen repair class without materializing instances
-/// (except for the attribute-null class, which has to).
-fn repair_set(
-    db: &Database,
-    sigma: &ConstraintSet,
-    class: &RepairClass,
-) -> Result<RepairSet, RelationError> {
-    match class {
-        RepairClass::Subset => {
-            let base = Arc::new(db.clone());
-            Ok(RepairSet::Delta(s_repairs_with_arc(
-                &base,
-                sigma,
-                &RepairOptions::default(),
-            )?))
+    /// [`fold`] over every repair of the set, in set order.
+    fn fold(
+        &self,
+        query: &UnionQuery,
+        kind: AnswerKind,
+        budget: &Budget,
+    ) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
+        match self {
+            RepairSet::Delta(reps) => fold(reps.iter().map(Ok), query, kind, budget),
+            RepairSet::Materialized(dbs) => fold(dbs.iter().map(Ok), query, kind, budget),
         }
-        RepairClass::SubsetDeletionsOnly => {
-            let base = Arc::new(db.clone());
-            Ok(RepairSet::Delta(s_repairs_with_arc(
-                &base,
-                sigma,
-                &RepairOptions::deletions_only(),
-            )?))
-        }
-        RepairClass::Cardinality => {
-            let base = Arc::new(db.clone());
-            Ok(RepairSet::Delta(c_repairs_arc(&base, sigma)?))
-        }
-        RepairClass::AttributeNull => Ok(RepairSet::Materialized(
-            attribute_repairs(db, sigma)?
-                .into_iter()
-                .map(|r| r.db)
-                .collect(),
-        )),
     }
 }
 
@@ -123,6 +110,119 @@ fn sql_answers<F: Facts + ?Sized>(
     cqa_query::plan::cached_certain_answers(inst, query, NullSemantics::Sql, cache_on)
 }
 
+/// One member of a repair family, as the fold driver evaluates it: an
+/// instance or view, or a delta repair (viewed zero-clone).
+trait RepairView: Sync {
+    fn answers(&self, query: &UnionQuery, cache_on: bool) -> Arc<BTreeSet<Tuple>>;
+}
+
+impl<F: Facts + ?Sized> RepairView for &F {
+    fn answers(&self, query: &UnionQuery, cache_on: bool) -> Arc<BTreeSet<Tuple>> {
+        sql_answers(*self, query, cache_on)
+    }
+}
+
+impl RepairView for Repair {
+    fn answers(&self, query: &UnionQuery, cache_on: bool) -> Arc<BTreeSet<Tuple>> {
+        sql_answers(&self.view(), query, cache_on)
+    }
+}
+
+impl RepairView for &Repair {
+    fn answers(&self, query: &UnionQuery, cache_on: bool) -> Arc<BTreeSet<Tuple>> {
+        (**self).answers(query, cache_on)
+    }
+}
+
+/// The one CQA fold: streams repair views into a certain (intersection) or
+/// possible (union) accumulator.
+///
+/// * Under a logical budget ([`Budget::forces_sequential`]) the views are
+///   evaluated one at a time in stream order, with one tick charged per
+///   view *before* it is evaluated — the cut point is
+///   schedule-independent, and a cache hit never moves it.
+/// * Otherwise parallel chunks of `threads() * 8` views are evaluated with
+///   a deadline check at every chunk barrier, so a deadline fires after at
+///   most one chunk of wasted work.
+///
+/// Either way a certain fold stops as soon as its accumulator is empty.
+/// Chunks are folded in stream order, so the result is byte-identical at
+/// every thread count. An empty stream folds to the empty set.
+///
+/// `Ok(None)` means the budget fired mid-fold. The partial accumulator is
+/// discarded: for certain answers it would over-approximate, and under a
+/// deadline its value would depend on scheduling. Callers substitute their
+/// sound fallback.
+fn fold<V: RepairView>(
+    views: impl IntoIterator<Item = Result<V, RelationError>>,
+    query: &UnionQuery,
+    kind: AnswerKind,
+    budget: &Budget,
+) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
+    let cache_on = cqa_exec::plan_cache_enabled();
+    let mut acc: Option<BTreeSet<Tuple>> = None;
+    let absorb = |acc: &mut Option<BTreeSet<Tuple>>, here: &BTreeSet<Tuple>| match acc {
+        None => *acc = Some(here.clone()),
+        Some(a) if kind == AnswerKind::Certain => a.retain(|t| here.contains(t)),
+        Some(a) => a.extend(here.iter().cloned()),
+    };
+    let settled = |acc: &Option<BTreeSet<Tuple>>| {
+        kind == AnswerKind::Certain && acc.as_ref().is_some_and(BTreeSet::is_empty)
+    };
+    let mut views = views.into_iter();
+    if budget.forces_sequential() {
+        for view in views {
+            if settled(&acc) {
+                break;
+            }
+            if !budget.tick() {
+                return Ok(None);
+            }
+            absorb(&mut acc, &view?.answers(query, cache_on));
+        }
+    } else {
+        let chunk = cqa_exec::threads() * 8;
+        while !settled(&acc) {
+            if !budget.check_deadline() {
+                return Ok(None);
+            }
+            let batch: Vec<V> = views.by_ref().take(chunk).collect::<Result<_, _>>()?;
+            if batch.is_empty() {
+                break;
+            }
+            for here in cqa_exec::par_map(&batch, |v| v.answers(query, cache_on)) {
+                absorb(&mut acc, &here);
+            }
+        }
+    }
+    Ok(Some(acc.unwrap_or_default()))
+}
+
+/// Enumerate the delta repairs of `class` under a budget: C-repairs for
+/// [`RepairClass::Cardinality`], S-repairs otherwise (deletions only for
+/// [`RepairClass::SubsetDeletionsOnly`]). `limit` caps the S-repair search;
+/// C-repair enumeration ignores it. [`RepairClass::AttributeNull`] has no
+/// delta representation (see
+/// [`attribute_repairs`]) and is
+/// enumerated here as [`RepairClass::Subset`].
+pub fn repairs_budgeted(
+    db: &Arc<Database>,
+    sigma: &ConstraintSet,
+    class: RepairClass,
+    limit: Option<usize>,
+    budget: &Budget,
+) -> Result<Outcome<Vec<Repair>>, RelationError> {
+    if class == RepairClass::Cardinality {
+        return c_repairs_budgeted(db, sigma, &RepairOptions::default(), budget);
+    }
+    let options = RepairOptions {
+        limit,
+        allow_insertions: class != RepairClass::SubsetDeletionsOnly,
+        ..Default::default()
+    };
+    s_repairs_budgeted(db, sigma, &options, budget)
+}
+
 /// Materialize the chosen repair class.
 ///
 /// Kept for callers that genuinely need owned instances (e.g. the virtual
@@ -133,7 +233,8 @@ pub fn repairs_of(
     sigma: &ConstraintSet,
     class: &RepairClass,
 ) -> Result<Vec<Database>, RelationError> {
-    match repair_set(db, sigma, class)? {
+    let base = Arc::new(db.clone());
+    match repair_set_budgeted(&base, sigma, *class, &Budget::unlimited())?.into_value() {
         RepairSet::Delta(reps) => Ok(reps.into_iter().map(Repair::into_db).collect()),
         RepairSet::Materialized(dbs) => Ok(dbs),
     }
@@ -165,36 +266,14 @@ pub fn consistent_answers(
     query: &UnionQuery,
     class: &RepairClass,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
-    match repair_set(db, sigma, class)? {
-        RepairSet::Delta(reps) => Ok(certain_over(&views(&reps), query)),
-        RepairSet::Materialized(dbs) => Ok(certain_over(&dbs, query)),
-    }
+    Ok(consistent_answers_budgeted(db, sigma, query, class, &Budget::unlimited())?.into_value())
 }
 
 /// Certain answers over an explicit list of instances or repair views (used
 /// directly by the virtual data integration crate, whose "repairs" are
 /// virtual global instances).
 pub fn certain_over<F: Facts>(instances: &[F], query: &UnionQuery) -> BTreeSet<Tuple> {
-    let Some((first, rest)) = instances.split_first() else {
-        return BTreeSet::new();
-    };
-    let cache_on = cqa_exec::plan_cache_enabled();
-    let mut acc: BTreeSet<Tuple> = (*sql_answers(first, query, cache_on)).clone();
-    // Evaluate the remaining repairs in parallel chunks with a barrier
-    // between chunks, so the empty-intersection early exit still fires
-    // after at most one chunk of wasted work. Set intersection is
-    // commutative and associative, so chunking cannot change the result.
-    let chunk = cqa_exec::threads() * 8;
-    for (start, end) in cqa_exec::chunks_of(rest.len(), chunk) {
-        if acc.is_empty() {
-            break;
-        }
-        let sets = cqa_exec::par_map(&rest[start..end], |inst| sql_answers(inst, query, cache_on));
-        for here in &sets {
-            acc.retain(|t| here.contains(t));
-        }
-    }
-    acc
+    fold_all(instances, query, AnswerKind::Certain)
 }
 
 /// The possible (brave) answers: returned by at least one repair.
@@ -204,43 +283,41 @@ pub fn possible_answers(
     query: &UnionQuery,
     class: &RepairClass,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
-    match repair_set(db, sigma, class)? {
-        RepairSet::Delta(reps) => Ok(possible_over(&views(&reps), query)),
-        RepairSet::Materialized(dbs) => Ok(possible_over(&dbs, query)),
-    }
+    Ok(possible_answers_budgeted(db, sigma, query, class, &Budget::unlimited())?.into_value())
 }
 
 /// Possible (brave) answers over an explicit list of instances or views.
 pub fn possible_over<F: Facts>(instances: &[F], query: &UnionQuery) -> BTreeSet<Tuple> {
-    let cache_on = cqa_exec::plan_cache_enabled();
-    let sets = cqa_exec::par_map(instances, |inst| sql_answers(inst, query, cache_on));
-    let mut out = BTreeSet::new();
-    for here in sets {
-        out.extend(here.iter().cloned());
-    }
-    out
+    fold_all(instances, query, AnswerKind::Possible)
 }
 
-/// Is a Boolean query certainly (consistently) true — true in *every* repair?
+/// [`fold`] over an explicit list, unbudgeted: it always completes.
+fn fold_all<F: Facts>(instances: &[F], query: &UnionQuery, kind: AnswerKind) -> BTreeSet<Tuple> {
+    fold(instances.iter().map(Ok), query, kind, &Budget::unlimited())
+        .ok()
+        .flatten()
+        .unwrap_or_default()
+}
+
+/// Is a query certainly (consistently) true — true in *every* repair?
+/// That is exactly a non-empty certain answer to its Boolean projection.
 pub fn certainly_true(
     db: &Database,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     class: &RepairClass,
 ) -> Result<bool, RelationError> {
-    match repair_set(db, sigma, class)? {
-        RepairSet::Delta(reps) => Ok(certainly_true_over(&views(&reps), query)),
-        RepairSet::Materialized(dbs) => Ok(certainly_true_over(&dbs, query)),
-    }
-}
-
-/// Is a Boolean query true in every instance of the list?
-pub fn certainly_true_over<F: Facts>(instances: &[F], query: &UnionQuery) -> bool {
-    // "True in every repair" = no repair falsifies it; `par_any` stops all
-    // workers as soon as one finds a counterexample.
-    !cqa_exec::par_any(instances, |inst| {
-        !cqa_query::holds_ucq(inst, query, NullSemantics::Sql)
-    })
+    let boolean = UnionQuery {
+        disjuncts: query
+            .disjuncts
+            .iter()
+            .map(|cq| ConjunctiveQuery {
+                head: Vec::new(),
+                ..cq.clone()
+            })
+            .collect(),
+    };
+    Ok(!consistent_answers(db, sigma, &boolean, class)?.is_empty())
 }
 
 /// Range-semantics CQA for scalar aggregates \[5\]: the greatest lower bound
@@ -258,14 +335,15 @@ pub fn consistent_aggregate_range(
         query.group_by.is_empty(),
         "range semantics is for scalar aggregates"
     );
-    match repair_set(db, sigma, class)? {
+    let base = Arc::new(db.clone());
+    match repair_set_budgeted(&base, sigma, *class, &Budget::unlimited())?.into_value() {
         RepairSet::Delta(reps) => Ok(aggregate_range_over(&views(&reps), query)),
         RepairSet::Materialized(dbs) => Ok(aggregate_range_over(&dbs, query)),
     }
 }
 
 /// Scalar-aggregate range over an explicit list of instances or views.
-pub fn aggregate_range_over<F: Facts>(
+fn aggregate_range_over<F: Facts>(
     instances: &[F],
     query: &AggregateQuery,
 ) -> Option<(Value, Value)> {
@@ -309,14 +387,15 @@ pub fn consistent_aggregate_ranges(
     query: &AggregateQuery,
     class: &RepairClass,
 ) -> Result<std::collections::BTreeMap<Tuple, (Value, Value)>, RelationError> {
-    match repair_set(db, sigma, class)? {
+    let base = Arc::new(db.clone());
+    match repair_set_budgeted(&base, sigma, *class, &Budget::unlimited())?.into_value() {
         RepairSet::Delta(reps) => Ok(aggregate_ranges_over(&views(&reps), query)),
         RepairSet::Materialized(dbs) => Ok(aggregate_ranges_over(&dbs, query)),
     }
 }
 
 /// Grouped-aggregate ranges over an explicit list of instances or views.
-pub fn aggregate_ranges_over<F: Facts>(
+fn aggregate_ranges_over<F: Facts>(
     instances: &[F],
     query: &AggregateQuery,
 ) -> std::collections::BTreeMap<Tuple, (Value, Value)> {
@@ -347,54 +426,6 @@ pub fn aggregate_ranges_over<F: Facts>(
     acc.unwrap_or_default()
 }
 
-/// Summary of a CQA run, for reports and the bench harness.
-#[derive(Debug, Clone)]
-pub struct CqaReport {
-    /// Number of repairs the class contains.
-    pub repair_count: usize,
-    /// The certain answers.
-    pub certain: BTreeSet<Tuple>,
-    /// The possible answers.
-    pub possible: BTreeSet<Tuple>,
-}
-
-/// Run CQA once and report both certain and possible answers.
-pub fn cqa_report(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-) -> Result<CqaReport, RelationError> {
-    let set = repair_set(db, sigma, class)?;
-    let repair_count = set.len();
-    let cache_on = cqa_exec::plan_cache_enabled();
-    let sets = match &set {
-        RepairSet::Delta(reps) => {
-            cqa_exec::par_map(&views(reps), |inst| sql_answers(inst, query, cache_on))
-        }
-        RepairSet::Materialized(dbs) => {
-            cqa_exec::par_map(dbs, |inst| sql_answers(inst, query, cache_on))
-        }
-    };
-    let mut possible = BTreeSet::new();
-    let mut certain: Option<BTreeSet<Tuple>> = None;
-    for here in sets {
-        certain = Some(match certain {
-            None => (*here).clone(),
-            Some(mut acc) => {
-                acc.retain(|t| here.contains(t));
-                acc
-            }
-        });
-        possible.extend(here.iter().cloned());
-    }
-    Ok(CqaReport {
-        repair_count,
-        certain: certain.unwrap_or_default(),
-        possible,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // Budgeted (anytime) CQA
 // ---------------------------------------------------------------------------
@@ -412,7 +443,7 @@ fn is_monotone(query: &UnionQuery) -> bool {
 /// explicit deletion-only semantics, and for attribute-null repairs (which
 /// only null out cells — under SQL null semantics a nulled cell can satisfy
 /// strictly fewer join conditions, never more).
-fn deletion_only_semantics(sigma: &ConstraintSet, class: &RepairClass) -> bool {
+fn deletion_only_semantics(sigma: &ConstraintSet, class: RepairClass) -> bool {
     match class {
         RepairClass::SubsetDeletionsOnly | RepairClass::AttributeNull => true,
         RepairClass::Subset | RepairClass::Cardinality => sigma.is_denial_class(),
@@ -436,13 +467,10 @@ fn core_certain_fallback(
     base: &Arc<Database>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
-    class: &RepairClass,
+    class: RepairClass,
 ) -> Result<BTreeSet<Tuple>, RelationError> {
-    let applicable = matches!(
-        class,
-        RepairClass::Subset | RepairClass::SubsetDeletionsOnly | RepairClass::Cardinality
-    ) && sigma.is_denial_class()
-        && is_monotone(query);
+    let applicable =
+        class != RepairClass::AttributeNull && sigma.is_denial_class() && is_monotone(query);
     if !applicable {
         return Ok(BTreeSet::new());
     }
@@ -460,18 +488,18 @@ fn core_certain_fallback(
 /// `Q(D)`. When repairs may insert tuples (tgds) or the query is
 /// non-monotone this bound is unavailable, and the caller falls back to the
 /// union over the repairs it *did* explore (a lower bound, flagged as such).
-fn possible_fallback<F: Facts>(
+fn possible_fallback(
     base: &Arc<Database>,
     sigma: &ConstraintSet,
     query: &UnionQuery,
-    class: &RepairClass,
-    explored: &[F],
-) -> BTreeSet<Tuple> {
+    class: RepairClass,
+    explored: &RepairSet,
+) -> Result<BTreeSet<Tuple>, RelationError> {
     if deletion_only_semantics(sigma, class) && is_monotone(query) {
-        (*sql_answers(&**base, query, cqa_exec::plan_cache_enabled())).clone()
-    } else {
-        possible_over(explored, query)
+        return Ok((*sql_answers(&**base, query, cqa_exec::plan_cache_enabled())).clone());
     }
+    let all = explored.fold(query, AnswerKind::Possible, &Budget::unlimited())?;
+    Ok(all.unwrap_or_default())
 }
 
 /// Enumerate the chosen repair class under a budget. The attribute-null
@@ -481,122 +509,60 @@ fn possible_fallback<F: Facts>(
 fn repair_set_budgeted(
     base: &Arc<Database>,
     sigma: &ConstraintSet,
-    class: &RepairClass,
+    class: RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<RepairSet>, RelationError> {
-    match class {
-        RepairClass::Subset => {
-            Ok(
-                s_repairs_budgeted(base, sigma, &RepairOptions::default(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::SubsetDeletionsOnly => {
-            Ok(
-                s_repairs_budgeted(base, sigma, &RepairOptions::deletions_only(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::Cardinality => {
-            Ok(
-                c_repairs_budgeted(base, sigma, &RepairOptions::default(), budget)?
-                    .map(RepairSet::Delta),
-            )
-        }
-        RepairClass::AttributeNull => {
-            let dbs: Vec<Database> = attribute_repairs(base, sigma)?
-                .into_iter()
-                .map(|r| r.db)
-                .collect();
-            let n = dbs.len() as u64;
-            Ok(budget.outcome_with(RepairSet::Materialized(dbs), n))
-        }
+    if class == RepairClass::AttributeNull {
+        let dbs: Vec<Database> = attribute_repairs(base, sigma)?
+            .into_iter()
+            .map(|r| r.db)
+            .collect();
+        let n = dbs.len() as u64;
+        return Ok(budget.outcome_with(RepairSet::Materialized(dbs), n));
     }
+    Ok(repairs_budgeted(base, sigma, class, None, budget)?.map(RepairSet::Delta))
 }
 
-/// Budget-aware intersection fold. Returns `None` when the budget fired
-/// mid-fold — the partial accumulator is *discarded* (it would be an
-/// over-approximation, and under parallel deadline budgets its value would
-/// depend on scheduling); the caller substitutes the core fallback.
-fn certain_over_budgeted<F: Facts>(
-    instances: &[F],
+/// The monolithic reference fold under a budget: enumerate the whole repair
+/// class, then fold the query over it. On truncation the certain side
+/// answers [`core_certain_fallback`] and the possible side
+/// [`possible_fallback`]; `explored` counts the repairs enumerated.
+fn monolithic(
+    db: &Database,
+    sigma: &ConstraintSet,
     query: &UnionQuery,
+    class: RepairClass,
+    kind: AnswerKind,
     budget: &Budget,
-) -> Option<BTreeSet<Tuple>> {
-    let Some((first, rest)) = instances.split_first() else {
-        return Some(BTreeSet::new());
+) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
+    let base = Arc::new(db.clone());
+    let set = repair_set_budgeted(&base, sigma, class, budget)?;
+    let cut = set.truncation().map(|(_, explored)| explored);
+    let set = set.into_value();
+    // Enumeration was cut: the explored repairs are only part of the class,
+    // so folding over them would be unsound for certain answers. Skip the
+    // fold and answer from the fallback.
+    let folded = if budget.exhausted() {
+        None
+    } else {
+        set.fold(query, kind, budget)?
     };
-    if !budget.tick() {
-        return None;
-    }
-    let cache_on = cqa_exec::plan_cache_enabled();
-    let mut acc: BTreeSet<Tuple> = (*sql_answers(first, query, cache_on)).clone();
-    if budget.forces_sequential() {
-        // Logical budget: one tick per repair in input order, so the cut
-        // point is schedule-independent. (Ticks are charged *before*
-        // evaluation, so a cache hit never moves the truncation point.)
-        for inst in rest {
-            if acc.is_empty() {
-                break;
-            }
-            if !budget.tick() {
-                return None;
-            }
-            let here = sql_answers(inst, query, cache_on);
-            acc.retain(|t| here.contains(t));
-        }
-        return Some(acc);
-    }
-    // Deadline/cancellation budget: parallel chunks with a clock check at
-    // every chunk barrier (same chunking as the exact fold).
-    let chunk = cqa_exec::threads() * 8;
-    for (start, end) in cqa_exec::chunks_of(rest.len(), chunk) {
-        if acc.is_empty() {
-            break;
-        }
-        if !budget.check_deadline() {
-            return None;
-        }
-        let sets = cqa_exec::par_map(&rest[start..end], |inst| sql_answers(inst, query, cache_on));
-        for here in &sets {
-            acc.retain(|t| here.contains(t));
+    match folded {
+        Some(answers) if !budget.exhausted() => Ok(Outcome::Exact(answers)),
+        _ => {
+            let (fallback, explored) = match kind {
+                AnswerKind::Certain => (
+                    core_certain_fallback(&base, sigma, query, class)?,
+                    cut.unwrap_or(set.len() as u64),
+                ),
+                AnswerKind::Possible => (
+                    possible_fallback(&base, sigma, query, class, &set)?,
+                    set.len() as u64,
+                ),
+            };
+            Ok(budget.outcome_with(fallback, explored))
         }
     }
-    Some(acc)
-}
-
-/// Budget-aware union fold; `None` when cut short (caller substitutes
-/// [`possible_fallback`]).
-fn possible_over_budgeted<F: Facts>(
-    instances: &[F],
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Option<BTreeSet<Tuple>> {
-    let cache_on = cqa_exec::plan_cache_enabled();
-    if budget.forces_sequential() {
-        let mut out = BTreeSet::new();
-        for inst in instances {
-            if !budget.tick() {
-                return None;
-            }
-            out.extend(sql_answers(inst, query, cache_on).iter().cloned());
-        }
-        return Some(out);
-    }
-    let chunk = cqa_exec::threads() * 8;
-    let mut out = BTreeSet::new();
-    for (start, end) in cqa_exec::chunks_of(instances.len(), chunk) {
-        if !budget.check_deadline() {
-            return None;
-        }
-        let sets = cqa_exec::par_map(&instances[start..end], |inst| {
-            sql_answers(inst, query, cache_on)
-        });
-        for here in sets {
-            out.extend(here.iter().cloned());
-        }
-    }
-    Some(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -668,279 +634,75 @@ fn factored_core_answers(
     Ok((*sql_answers(&core.view(), query, cache_on)).clone())
 }
 
-/// The component-local views for one family, in family order.
-fn component_views(
-    fx: &FactoredRepairSet,
-    comp: usize,
-    family: &[BTreeSet<Tid>],
-) -> Result<Vec<Repair>, RelationError> {
-    family
-        .iter()
-        .map(|h| Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new()))
-        .collect()
-}
-
-/// Per-component certain fold (monotone, non-spanning case). `None` when
-/// the budget fired mid-fold (caller substitutes the core fallback).
-fn factored_component_certain(
+/// The per-component fold (monotone, non-spanning case): `Q(core)` plus,
+/// per component, the fold over its component-local views. `None` when the
+/// budget fired mid-fold.
+fn fold_per_component(
     fx: &FactoredRepairSet,
     query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut certain = factored_core_answers(fx, query)?;
-    let cache_on = cqa_exec::plan_cache_enabled();
-    for (comp, family) in fx.families().families.iter().enumerate() {
-        let acc = if budget.forces_sequential() {
-            // One tick per local view in canonical order: the cut point is
-            // schedule-independent, like the monolithic sequential fold.
-            let mut acc: Option<BTreeSet<Tuple>> = None;
-            for h in family {
-                if !budget.tick() {
-                    return Ok(None);
-                }
-                let view =
-                    Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new())?;
-                let here = sql_answers(&view.view(), query, cache_on);
-                match &mut acc {
-                    None => acc = Some((*here).clone()),
-                    Some(a) => a.retain(|t| here.contains(t)),
-                }
-                if acc.as_ref().is_some_and(BTreeSet::is_empty) {
-                    break;
-                }
-            }
-            acc
-        } else {
-            if !budget.check_deadline() {
-                return Ok(None);
-            }
-            let reps = component_views(fx, comp, family)?;
-            let mut sets =
-                cqa_exec::par_map(&views(&reps), |v| sql_answers(v, query, cache_on)).into_iter();
-            let mut acc = sets.next().map(|s| (*s).clone());
-            if let Some(a) = &mut acc {
-                for here in sets {
-                    a.retain(|t| here.contains(t));
-                    if a.is_empty() {
-                        break;
-                    }
-                }
-            }
-            acc
-        };
-        if let Some(a) = acc {
-            certain.extend(a);
-        }
-    }
-    Ok(Some(certain))
-}
-
-/// Per-component possible fold (monotone, non-spanning case).
-fn factored_component_possible(
-    fx: &FactoredRepairSet,
-    query: &UnionQuery,
+    kind: AnswerKind,
     budget: &Budget,
 ) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
     let mut out = factored_core_answers(fx, query)?;
-    let cache_on = cqa_exec::plan_cache_enabled();
     for (comp, family) in fx.families().families.iter().enumerate() {
-        if budget.forces_sequential() {
-            for h in family {
-                if !budget.tick() {
-                    return Ok(None);
+        let local = family
+            .iter()
+            .map(|h| Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new()));
+        match fold(local, query, kind, budget)? {
+            Some(answers) => out.extend(answers),
+            None => return Ok(None),
+        }
+    }
+    Ok(Some(out))
+}
+
+/// Factored CQA over a pre-built conflict hyper-graph (whose component
+/// decomposition is cached on it). The caller guarantees `graph` was built
+/// from `base`'s instance, Σ is denial-class, and `class` is one of the
+/// deletion-only classes (S / S-deletions-only / C).
+///
+/// Non-spanning monotone queries fold per component; otherwise the fold
+/// streams over the **lazy** cross-product — the same repair family as the
+/// monolithic fold, never stored. On truncation certain answers degrade to
+/// `Q(core)`, possible answers to `Q(D)` for a monotone query (the sound
+/// over-approximation under deletion-only semantics) and to the empty set
+/// otherwise.
+pub(crate) fn factored_with(
+    base: &Arc<Database>,
+    graph: &cqa_constraints::ConflictHypergraph,
+    query: &UnionQuery,
+    class: RepairClass,
+    kind: AnswerKind,
+    budget: &Budget,
+) -> Result<FactoredAnswers, RelationError> {
+    let fx = match class {
+        RepairClass::Cardinality => FactoredRepairSet::enumerate_minimum(base, graph, budget),
+        _ => FactoredRepairSet::enumerate_minimal(base, graph, budget),
+    }
+    .into_value();
+    let explored = fx.families().exact_components();
+    let (folded, spanning) = if budget.exhausted() {
+        (None, false)
+    } else if !is_monotone(query) || query_spans_components(base, query, fx.components()) {
+        let product = fx
+            .deltas()
+            .map(|d| Repair::from_delta_arc(fx.base(), d, Vec::new()));
+        (fold(product, query, kind, budget)?, true)
+    } else {
+        (fold_per_component(&fx, query, kind, budget)?, false)
+    };
+    let info = fx.factorization(spanning);
+    match folded {
+        Some(answers) if !budget.exhausted() => Ok(Outcome::Exact((answers, info))),
+        _ => {
+            let fallback = match kind {
+                AnswerKind::Certain => factored_core_answers(&fx, query)?,
+                AnswerKind::Possible if is_monotone(query) => {
+                    (*sql_answers(&**base, query, cqa_exec::plan_cache_enabled())).clone()
                 }
-                let view =
-                    Repair::from_delta_arc(fx.base(), fx.local_deleted(comp, h), Vec::new())?;
-                out.extend(sql_answers(&view.view(), query, cache_on).iter().cloned());
-            }
-        } else {
-            if !budget.check_deadline() {
-                return Ok(None);
-            }
-            let reps = component_views(fx, comp, family)?;
-            for here in cqa_exec::par_map(&views(&reps), |v| sql_answers(v, query, cache_on)) {
-                out.extend(here.iter().cloned());
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Certain fold over the **lazy** cross-product (spanning / non-monotone
-/// case): the same repair family as the monolithic fold, streamed from the
-/// odometer iterator, never stored.
-fn factored_product_certain(
-    fx: &FactoredRepairSet,
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut deltas = fx.deltas();
-    let Some(first) = deltas.next() else {
-        return Ok(Some(BTreeSet::new()));
-    };
-    if !budget.tick() {
-        return Ok(None);
-    }
-    let cache_on = cqa_exec::plan_cache_enabled();
-    let first = Repair::from_delta_arc(fx.base(), first, Vec::new())?;
-    let mut acc: BTreeSet<Tuple> = (*sql_answers(&first.view(), query, cache_on)).clone();
-    if budget.forces_sequential() {
-        for delta in deltas {
-            if acc.is_empty() {
-                break;
-            }
-            if !budget.tick() {
-                return Ok(None);
-            }
-            let view = Repair::from_delta_arc(fx.base(), delta, Vec::new())?;
-            let here = sql_answers(&view.view(), query, cache_on);
-            acc.retain(|t| here.contains(t));
-        }
-        return Ok(Some(acc));
-    }
-    let chunk = cqa_exec::threads() * 8;
-    loop {
-        if acc.is_empty() {
-            break;
-        }
-        if !budget.check_deadline() {
-            return Ok(None);
-        }
-        let batch: Vec<Repair> = deltas
-            .by_ref()
-            .take(chunk)
-            .map(|d| Repair::from_delta_arc(fx.base(), d, Vec::new()))
-            .collect::<Result<_, _>>()?;
-        if batch.is_empty() {
-            break;
-        }
-        let sets = cqa_exec::par_map(&views(&batch), |v| sql_answers(v, query, cache_on));
-        for here in &sets {
-            acc.retain(|t| here.contains(t));
-        }
-    }
-    Ok(Some(acc))
-}
-
-/// Possible fold over the lazy cross-product.
-fn factored_product_possible(
-    fx: &FactoredRepairSet,
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Option<BTreeSet<Tuple>>, RelationError> {
-    let mut deltas = fx.deltas();
-    let mut out = BTreeSet::new();
-    let cache_on = cqa_exec::plan_cache_enabled();
-    if budget.forces_sequential() {
-        for delta in deltas {
-            if !budget.tick() {
-                return Ok(None);
-            }
-            let view = Repair::from_delta_arc(fx.base(), delta, Vec::new())?;
-            out.extend(sql_answers(&view.view(), query, cache_on).iter().cloned());
-        }
-        return Ok(Some(out));
-    }
-    let chunk = cqa_exec::threads() * 8;
-    loop {
-        if !budget.check_deadline() {
-            return Ok(None);
-        }
-        let batch: Vec<Repair> = deltas
-            .by_ref()
-            .take(chunk)
-            .map(|d| Repair::from_delta_arc(fx.base(), d, Vec::new()))
-            .collect::<Result<_, _>>()?;
-        if batch.is_empty() {
-            break;
-        }
-        for here in cqa_exec::par_map(&views(&batch), |v| sql_answers(v, query, cache_on)) {
-            out.extend(here.iter().cloned());
-        }
-    }
-    Ok(Some(out))
-}
-
-/// Factored certain answers over a pre-built conflict hyper-graph (whose
-/// component decomposition is cached on it). The caller guarantees `graph`
-/// was built from `base`'s instance, Σ is denial-class, and `class` is one
-/// of the deletion-only classes (S / S-deletions-only / C).
-pub(crate) fn factored_certain_with(
-    base: &Arc<Database>,
-    graph: &cqa_constraints::ConflictHypergraph,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Outcome<(BTreeSet<Tuple>, Factorization)>, RelationError> {
-    let fx = match class {
-        RepairClass::Cardinality => FactoredRepairSet::enumerate_minimum(base, graph, budget),
-        _ => FactoredRepairSet::enumerate_minimal(base, graph, budget),
-    }
-    .into_value();
-    let explored = fx.families().exact_components();
-    if budget.exhausted() {
-        let fallback = factored_core_answers(&fx, query)?;
-        return Ok(budget.outcome_with((fallback, fx.factorization(false)), explored));
-    }
-    let spanning = !is_monotone(query) || query_spans_components(base, query, fx.components());
-    let info = fx.factorization(spanning);
-    let folded = if spanning {
-        factored_product_certain(&fx, query, budget)?
-    } else {
-        factored_component_certain(&fx, query, budget)?
-    };
-    match folded {
-        Some(acc) if !budget.exhausted() => Ok(Outcome::Exact((acc, info))),
-        _ => {
-            let fallback = factored_core_answers(&fx, query)?;
+                AnswerKind::Possible => BTreeSet::new(),
+            };
             Ok(budget.outcome_with((fallback, info), explored))
-        }
-    }
-}
-
-/// Factored possible answers; same contract as [`factored_certain_with`].
-pub(crate) fn factored_possible_with(
-    base: &Arc<Database>,
-    graph: &cqa_constraints::ConflictHypergraph,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Outcome<(BTreeSet<Tuple>, Factorization)>, RelationError> {
-    let fx = match class {
-        RepairClass::Cardinality => FactoredRepairSet::enumerate_minimum(base, graph, budget),
-        _ => FactoredRepairSet::enumerate_minimal(base, graph, budget),
-    }
-    .into_value();
-    let explored = fx.families().exact_components();
-    // Truncation fallback: `Q(D)` is the sound over-approximation for a
-    // monotone query under deletion-only semantics; empty otherwise (the
-    // enumeration found nothing complete to union over).
-    let fallback = || -> BTreeSet<Tuple> {
-        if is_monotone(query) {
-            eval_ucq(&**base, query, NullSemantics::Sql)
-                .into_iter()
-                .filter(|t| !t.has_null())
-                .collect()
-        } else {
-            BTreeSet::new()
-        }
-    };
-    if budget.exhausted() {
-        let value = fallback();
-        return Ok(budget.outcome_with((value, fx.factorization(false)), explored));
-    }
-    let spanning = !is_monotone(query) || query_spans_components(base, query, fx.components());
-    let info = fx.factorization(spanning);
-    let folded = if spanning {
-        factored_product_possible(&fx, query, budget)?
-    } else {
-        factored_component_possible(&fx, query, budget)?
-    };
-    match folded {
-        Some(out) if !budget.exhausted() => Ok(Outcome::Exact((out, info))),
-        _ => {
-            let value = fallback();
-            Ok(budget.outcome_with((value, info), explored))
         }
     }
 }
@@ -961,14 +723,7 @@ pub fn consistent_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
-    if matches!(class, RepairClass::AttributeNull) || !sigma.is_denial_class() {
-        return Ok(None);
-    }
-    let base = Arc::new(db.clone());
-    let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_certain_with(
-        &base, &graph, query, class, budget,
-    )?))
+    factored(db, sigma, query, *class, AnswerKind::Certain, budget)
 }
 
 /// Component-factorized [`possible_answers_budgeted`]; see
@@ -980,17 +735,27 @@ pub fn possible_answers_factored_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Option<FactoredAnswers>, RelationError> {
-    if matches!(class, RepairClass::AttributeNull) || !sigma.is_denial_class() {
+    factored(db, sigma, query, *class, AnswerKind::Possible, budget)
+}
+
+fn factored(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    class: RepairClass,
+    kind: AnswerKind,
+    budget: &Budget,
+) -> Result<Option<FactoredAnswers>, RelationError> {
+    if class == RepairClass::AttributeNull || !sigma.is_denial_class() {
         return Ok(None);
     }
     let base = Arc::new(db.clone());
     let graph = sigma.conflict_hypergraph(db)?;
-    Ok(Some(factored_possible_with(
-        &base, &graph, query, class, budget,
-    )?))
+    factored_with(&base, &graph, query, class, kind, budget).map(Some)
 }
 
-/// Budget-aware [`consistent_answers`]: the anytime entry point.
+/// Budget-aware [`consistent_answers`]: the anytime monolithic reference
+/// fold.
 ///
 /// An [`Outcome::Exact`] result equals the unbudgeted answer bit for bit.
 /// An [`Outcome::Truncated`] result is a **sound under-approximation** of
@@ -1004,28 +769,7 @@ pub fn consistent_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
-    let explored = set.truncation().map(|(_, e)| e);
-    let set = set.into_value();
-    if budget.exhausted() {
-        // Enumeration was cut: the explored repairs are only part of the
-        // class, so intersecting over them would over-approximate. Discard
-        // them for the certain side and answer from the core.
-        let fallback = core_certain_fallback(&base, sigma, query, class)?;
-        return Ok(budget.outcome_with(fallback, explored.unwrap_or(set.len() as u64)));
-    }
-    let folded = match &set {
-        RepairSet::Delta(reps) => certain_over_budgeted(&views(reps), query, budget),
-        RepairSet::Materialized(dbs) => certain_over_budgeted(dbs, query, budget),
-    };
-    match folded {
-        Some(acc) if !budget.exhausted() => Ok(Outcome::Exact(acc)),
-        _ => {
-            let fallback = core_certain_fallback(&base, sigma, query, class)?;
-            Ok(budget.outcome_with(fallback, set.len() as u64))
-        }
-    }
+    monolithic(db, sigma, query, *class, AnswerKind::Certain, budget)
 }
 
 /// Budget-aware [`possible_answers`].
@@ -1042,88 +786,7 @@ pub fn possible_answers_budgeted(
     class: &RepairClass,
     budget: &Budget,
 ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-    let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
-    let set = set.into_value();
-    let fallback = |set: &RepairSet| match set {
-        RepairSet::Delta(reps) => possible_fallback(&base, sigma, query, class, &views(reps)),
-        RepairSet::Materialized(dbs) => possible_fallback(&base, sigma, query, class, dbs),
-    };
-    if budget.exhausted() {
-        let value = fallback(&set);
-        return Ok(budget.outcome_with(value, set.len() as u64));
-    }
-    let folded = match &set {
-        RepairSet::Delta(reps) => possible_over_budgeted(&views(reps), query, budget),
-        RepairSet::Materialized(dbs) => possible_over_budgeted(dbs, query, budget),
-    };
-    match folded {
-        Some(out) if !budget.exhausted() => Ok(Outcome::Exact(out)),
-        _ => {
-            let value = fallback(&set);
-            Ok(budget.outcome_with(value, set.len() as u64))
-        }
-    }
-}
-
-/// Budget-aware [`cqa_report`]: one repair enumeration feeding both the
-/// certain (under-approximated on truncation) and possible
-/// (over-approximated where sound, see [`possible_answers_budgeted`])
-/// sides. `repair_count` is the number of repairs actually enumerated —
-/// the full class size only when the outcome is exact.
-pub fn cqa_report_budgeted(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    class: &RepairClass,
-    budget: &Budget,
-) -> Result<Outcome<CqaReport>, RelationError> {
-    let base = Arc::new(db.clone());
-    let set = repair_set_budgeted(&base, sigma, class, budget)?;
-    let set = set.into_value();
-    let repair_count = set.len();
-    let build = |certain: BTreeSet<Tuple>, possible: BTreeSet<Tuple>| CqaReport {
-        repair_count,
-        certain,
-        possible,
-    };
-    let truncated_report = |set: &RepairSet| -> Result<CqaReport, RelationError> {
-        let certain = core_certain_fallback(&base, sigma, query, class)?;
-        let possible = match set {
-            RepairSet::Delta(reps) => possible_fallback(&base, sigma, query, class, &views(reps)),
-            RepairSet::Materialized(dbs) => possible_fallback(&base, sigma, query, class, dbs),
-        };
-        Ok(build(certain, possible))
-    };
-    if budget.exhausted() {
-        let report = truncated_report(&set)?;
-        return Ok(budget.outcome_with(report, repair_count as u64));
-    }
-    let folded = match &set {
-        RepairSet::Delta(reps) => {
-            let v = views(reps);
-            certain_over_budgeted(&v, query, budget).zip(possible_over_budgeted(&v, query, budget))
-        }
-        RepairSet::Materialized(dbs) => certain_over_budgeted(dbs, query, budget)
-            .zip(possible_over_budgeted(dbs, query, budget)),
-    };
-    match folded {
-        Some((certain, possible)) if !budget.exhausted() => {
-            Ok(Outcome::Exact(build(certain, possible)))
-        }
-        _ => {
-            let report = truncated_report(&set)?;
-            Ok(budget.outcome_with(report, repair_count as u64))
-        }
-    }
-}
-
-/// Convenience: keep the `Repair` structs alongside their instances.
-pub fn s_repair_structs(
-    db: &Database,
-    sigma: &ConstraintSet,
-) -> Result<Vec<Repair>, RelationError> {
-    crate::srepair::s_repairs(db, sigma)
+    monolithic(db, sigma, query, *class, AnswerKind::Possible, budget)
 }
 
 #[cfg(test)]
@@ -1359,20 +1022,34 @@ mod tests {
     }
 
     #[test]
-    fn report_is_consistent_with_parts() {
+    fn route_agrees_with_the_reference_folds() {
         let (db, sigma) = employee();
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
-        let report = cqa_report(&db, &sigma, &q, &RepairClass::Subset).unwrap();
-        assert_eq!(report.repair_count, 2);
         assert_eq!(
-            report.certain,
+            repairs_of(&db, &sigma, &RepairClass::Subset).unwrap().len(),
+            2
+        );
+        let route = |kind| {
+            let request = crate::planner::Request {
+                query: &q,
+                kind,
+                class: RepairClass::Subset,
+            };
+            crate::planner::answer(&db, &sigma, None, &request, &Budget::unlimited())
+                .unwrap()
+                .into_value()
+                .answers
+        };
+        let (certain, possible) = (route(AnswerKind::Certain), route(AnswerKind::Possible));
+        assert_eq!(
+            certain,
             consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap()
         );
         assert_eq!(
-            report.possible,
+            possible,
             possible_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap()
         );
-        assert!(report.certain.is_subset(&report.possible));
+        assert!(certain.is_subset(&possible));
     }
 
     #[test]
@@ -1525,5 +1202,126 @@ mod tests {
             possible,
             [tuple!["page"], tuple!["miller"], tuple!["smith"]].into()
         );
+    }
+
+    /// Step-budget truncation points of the three folds, pinned on the
+    /// pre-refactor implementations (one fold function per fold shape) so
+    /// that the shared driver is held to every tick they charged. Each row
+    /// lists, for `Budget::steps(n)` with n = 1..=12, the `explored` count
+    /// of the truncated outcome (`-`: exact), then the answers a truncated
+    /// run falls back to and the exact answers.
+    #[test]
+    fn step_budget_truncation_points_are_pinned() {
+        type Fold<'a> = &'a dyn Fn(&Budget) -> Outcome<BTreeSet<Tuple>>;
+        let (db, sigma) = &two_component_employee();
+        let class = RepairClass::Subset;
+        let local = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
+        let spanning = UnionQuery::single(
+            parse_query("Q(y, w) :- Employee('page', y), Employee('miller', w)").unwrap(),
+        );
+        let mono = |kind, q| {
+            move |b: &Budget| {
+                match kind {
+                    AnswerKind::Certain => consistent_answers_budgeted(db, sigma, q, &class, b),
+                    AnswerKind::Possible => possible_answers_budgeted(db, sigma, q, &class, b),
+                }
+                .unwrap()
+            }
+        };
+        let factored = |kind, q| {
+            move |b: &Budget| {
+                match kind {
+                    AnswerKind::Certain => {
+                        consistent_answers_factored_budgeted(db, sigma, q, &class, b)
+                    }
+                    AnswerKind::Possible => {
+                        possible_answers_factored_budgeted(db, sigma, q, &class, b)
+                    }
+                }
+                .unwrap()
+                .expect("denial-class")
+                .map(|(answers, _)| answers)
+            }
+        };
+        let (certain, possible) = (AnswerKind::Certain, AnswerKind::Possible);
+        let names = "(miller) (page) (smith)";
+        let pairs = "(5000, 1000) (5000, 2000) (8000, 1000) (8000, 2000)";
+        let rows: [(&str, Fold, &str, &str, &str); 8] = [
+            (
+                "monolithic certain, local",
+                &mono(certain, &local),
+                "0 0 1 2 2 3 4 4 4 4 - -",
+                "(smith)",
+                names,
+            ),
+            (
+                "monolithic possible, local",
+                &mono(possible, &local),
+                "0 0 1 2 2 3 4 4 4 4 - -",
+                names,
+                names,
+            ),
+            (
+                "monolithic certain, spanning",
+                &mono(certain, &spanning),
+                "0 0 1 2 2 3 4 4 - - - -",
+                "",
+                "",
+            ),
+            (
+                "monolithic possible, spanning",
+                &mono(possible, &spanning),
+                "0 0 1 2 2 3 4 4 4 4 - -",
+                pairs,
+                pairs,
+            ),
+            (
+                "per-component certain",
+                &factored(certain, &local),
+                "0 0 1 1 1 2 2 2 2 - - -",
+                "(smith)",
+                names,
+            ),
+            (
+                "per-component possible",
+                &factored(possible, &local),
+                "0 0 1 1 1 2 2 2 2 - - -",
+                names,
+                names,
+            ),
+            (
+                "lazy-product certain",
+                &factored(certain, &spanning),
+                "0 0 1 1 1 2 2 - - - - -",
+                "",
+                "",
+            ),
+            (
+                "lazy-product possible",
+                &factored(possible, &spanning),
+                "0 0 1 1 1 2 2 2 2 - - -",
+                pairs,
+                pairs,
+            ),
+        ];
+        for (name, fold, explored, truncated, exact) in rows {
+            for (n, explored) in (1..=12u64).zip(explored.split(' ')) {
+                let out = fold(&Budget::steps(n));
+                let want = explored
+                    .parse::<u64>()
+                    .ok()
+                    .map(|e| (cqa_exec::TruncationReason::StepLimit, e));
+                assert_eq!(out.truncation(), want, "{name} at {n} steps");
+                let shown: Vec<String> = out.value().iter().map(Tuple::to_string).collect();
+                let want = if want.is_some() { truncated } else { exact };
+                assert_eq!(shown.join(" "), want, "{name} at {n} steps");
+            }
+        }
+        // The factored rows ran the fold they are named after.
+        for (q, spans) in [(&local, false), (&spanning, true)] {
+            let out =
+                consistent_answers_factored_budgeted(db, sigma, q, &class, &Budget::unlimited());
+            assert_eq!(out.unwrap().unwrap().value().1.spanning, spans);
+        }
     }
 }

@@ -15,35 +15,14 @@ use std::sync::Arc;
 
 /// All C-repairs of `db` with respect to `sigma`.
 pub fn c_repairs(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with(db, sigma, &RepairOptions::default())
-}
-
-/// All C-repairs, with search options (used for deletion-only semantics).
-///
-/// Clones `db` once into a shared [`Arc`] base; see [`c_repairs_with_arc`].
-pub fn c_repairs_with(
-    db: &Database,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with_arc(&Arc::new(db.clone()), sigma, options)
-}
-
-/// All C-repairs over a shared base instance, clone-free.
-pub fn c_repairs_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-) -> Result<Vec<Repair>, RelationError> {
-    c_repairs_with_arc(db, sigma, &RepairOptions::default())
-}
-
-/// All C-repairs over a shared base instance, with search options.
-pub fn c_repairs_with_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    Ok(c_repairs_budgeted(db, sigma, options, &Budget::unlimited())?.into_value())
+    let base = Arc::new(db.clone());
+    Ok(c_repairs_budgeted(
+        &base,
+        sigma,
+        &RepairOptions::default(),
+        &Budget::unlimited(),
+    )?
+    .into_value())
 }
 
 /// Budget-aware C-repair enumeration.

@@ -13,8 +13,11 @@
 //! * [`crepair`] — cardinality repairs (§4.1).
 //! * [`attr_repair`] — attribute-based null repairs (§4.3).
 //! * [`nullrepair`] — tuple-level null repairs for tgds (§4.2).
-//! * [`cqa`] — certain/possible answers over a repair class; aggregate CQA
-//!   with range semantics (§3.1–3.2).
+//! * [`planner`] — [`answer`], the one CQA route: certain or possible
+//!   answers over a repair class, by direct evaluation, FO rewriting or a
+//!   (factored) repair fold (§3.1–3.3).
+//! * [`cqa`] — the reference semantics: certain/possible answers folded over
+//!   a repair class; aggregate CQA with range semantics (§3.1–3.2).
 //! * [`rewrite`] — first-order rewritings: the 1999 residue method and the
 //!   Koutris–Wijsen attack-graph rewriting for keys (§2.2, §3.2).
 //! * [`checking`] — repair checking and counting (§3.2).
@@ -47,17 +50,12 @@ pub use checking::{
     RepairSemantics,
 };
 pub use cqa::{
-    aggregate_range_over, aggregate_ranges_over, certain_over, certainly_true, certainly_true_over,
-    consistent_aggregate_range, consistent_aggregate_ranges, consistent_answers,
-    consistent_answers_budgeted, consistent_answers_factored_budgeted, cqa_report,
-    cqa_report_budgeted, possible_answers, possible_answers_budgeted,
-    possible_answers_factored_budgeted, possible_over, repairs_of, CqaReport, FactoredAnswers,
-    RepairClass,
+    certain_over, certainly_true, consistent_aggregate_range, consistent_aggregate_ranges,
+    consistent_answers, consistent_answers_budgeted, consistent_answers_factored_budgeted,
+    possible_answers, possible_answers_budgeted, possible_answers_factored_budgeted, possible_over,
+    repairs_budgeted, repairs_of, AnswerKind, FactoredAnswers, RepairClass,
 };
-pub use crepair::{
-    c_repairs, c_repairs_arc, c_repairs_budgeted, c_repairs_with, c_repairs_with_arc,
-    min_repair_distance,
-};
+pub use crepair::{c_repairs, c_repairs_budgeted, min_repair_distance};
 pub use delta::{IncrementalState, MaintenanceDecision};
 pub use factored::{
     factored_c_repairs_budgeted, factored_s_repairs_budgeted, FactoredRepairSet, Factorization,
@@ -67,17 +65,14 @@ pub use incremental::{insert_preserves_consistency, repairs_after_insert, Increm
 pub use measures::{core_gap, inconsistency_degree};
 pub use nullrepair::{has_solution, null_tuple_repairs, NullTupleRepair, RepairStyle};
 pub use planner::{
-    answer_consistently, answer_consistently_budgeted, answer_consistently_incremental,
-    plan_diagnostics, PlannedAnswer, Strategy,
+    answer, answer_consistently_budgeted, answer_consistently_incremental, plan_diagnostics,
+    PlannedAnswer, Request, Strategy,
 };
 pub use prioritized::{globally_optimal_repairs, pareto_optimal_repairs, PriorityRelation};
 pub use privacy::SecrecyView;
 pub use repair::{retain_subset_minimal, Change, Repair};
 pub use rewrite::{attack_graph, residue_rewrite, rewrite_key_query, KeyRewriteError};
 pub use session::CqaSession;
-pub use srepair::{
-    consistent_core, s_repairs, s_repairs_arc, s_repairs_budgeted, s_repairs_with,
-    s_repairs_with_arc, RepairOptions,
-};
-pub use tolerant::{ar_answers, iar_answers};
+pub use srepair::{consistent_core, s_repairs, s_repairs_budgeted, s_repairs_with, RepairOptions};
+pub use tolerant::iar_answers;
 pub use update_repair::{min_change_update_repair, update_repairs, CellUpdate, UpdateRepair};

@@ -1,21 +1,30 @@
-//! A ConsEx-style consistency extractor (§3.3 of the paper, \[43\]): one
-//! entry point that *plans* how to answer a query consistently, choosing
-//! the cheapest sound-and-complete strategy available:
+//! A ConsEx-style consistency extractor (§3.3 of the paper, \[43\]): the
+//! one CQA route. [`answer`] takes a [`Request`] — a query, the answers
+//! wanted ([`AnswerKind`]) and a [`RepairClass`] — and picks the cheapest
+//! sound-and-complete strategy from one decision table:
 //!
-//! 1. **FO rewriting** (attack graph) when Σ is a set of primary keys and
-//!    the query is a self-join-free CQ with an acyclic attack graph —
-//!    evaluated directly on the inconsistent instance, no repairs;
-//! 2. **repair enumeration** otherwise (the reference semantics).
+//! 1. **direct evaluation** when the instance is consistent, for every kind
+//!    and class — a consistent instance is its own only repair;
+//! 2. **FO rewriting** (attack graph) for certain answers over S-repairs
+//!    when Σ is a set of primary keys and the query is a self-join-free CQ
+//!    with an acyclic attack graph — evaluated directly on the
+//!    inconsistent instance, no repairs;
+//! 3. **factored enumeration** for denial-class Σ with at least two
+//!    conflict components (any class but attribute-null), in the requested
+//!    kind;
+//! 4. **repair enumeration** otherwise: the monolithic reference fold.
 //!
 //! The chosen strategy is reported so callers can log/inspect it, mirroring
 //! how ConsEx surfaced its magic-set rewriting decisions.
 
-use crate::cqa::{consistent_answers_budgeted, factored_certain_with, RepairClass};
+use crate::cqa::{
+    consistent_answers_budgeted, factored_with, possible_answers_budgeted, AnswerKind, RepairClass,
+};
 use crate::delta::IncrementalState;
 use crate::factored::Factorization;
 use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
 use cqa_analysis::{lint_constraints, lint_query, DiagCode, Diagnostic};
-use cqa_constraints::{ConflictHypergraph, Constraint, ConstraintSet};
+use cqa_constraints::{Constraint, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
 use cqa_query::{eval_fo, NullSemantics, UnionQuery};
 use cqa_relation::{Database, RelationError, Tuple};
@@ -26,7 +35,7 @@ use std::collections::BTreeSet;
 pub enum Strategy {
     /// Evaluated a certain FO rewriting on the inconsistent instance.
     FoRewriting,
-    /// Enumerated repairs and intersected answers.
+    /// Enumerated repairs and folded answers over them.
     RepairEnumeration {
         /// Why rewriting was not used.
         reason: String,
@@ -47,13 +56,35 @@ pub enum Strategy {
 /// The planner's result.
 #[derive(Debug, Clone)]
 pub struct PlannedAnswer {
-    /// The consistent answers.
+    /// The certain (or possible, as requested) answers.
     pub answers: BTreeSet<Tuple>,
     /// The strategy used.
     pub strategy: Strategy,
     /// Static-analysis findings for Σ and the query (strategy-independent;
     /// see `cqa-analysis` for the code catalog).
     pub diagnostics: Vec<Diagnostic>,
+}
+
+/// One CQA question: the answers of `kind` to `query` over `class`.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    /// The query.
+    pub query: &'a UnionQuery,
+    /// Certain or possible answers.
+    pub kind: AnswerKind,
+    /// The repair class quantified over.
+    pub class: RepairClass,
+}
+
+impl<'a> Request<'a> {
+    /// Certain answers over S-repairs — the default question.
+    pub fn certain(query: &'a UnionQuery) -> Request<'a> {
+        Request {
+            query,
+            kind: AnswerKind::Certain,
+            class: RepairClass::Subset,
+        }
+    }
 }
 
 /// Lint Σ (against the live schemas) and every disjunct of the query.
@@ -86,39 +117,18 @@ fn keys_only(db: &Database, sigma: &ConstraintSet) -> Option<KeyPositions> {
     Some(keys)
 }
 
-/// Answer `query` consistently with the best available strategy.
-pub fn answer_consistently(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-) -> Result<PlannedAnswer, RelationError> {
-    Ok(answer_consistently_budgeted(db, sigma, query, &Budget::unlimited())?.into_value())
-}
-
-/// Budget-aware [`answer_consistently`]. The polynomial strategies (direct
-/// evaluation on a consistent instance, FO rewriting) always produce an
-/// [`Outcome::Exact`] answer — a budget never degrades them. Only the
-/// repair-enumeration fallback is metered; on truncation it reports the
-/// sound under-approximation of
-/// [`consistent_answers_budgeted`].
+/// Certain answers over S-repairs through [`answer`], cold.
 pub fn answer_consistently_budgeted(
     db: &Database,
     sigma: &ConstraintSet,
     query: &UnionQuery,
     budget: &Budget,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    let diagnostics = plan_diagnostics(db, sigma, query);
-    let consistent = sigma.is_satisfied(db)?;
-    plan_with(db, sigma, query, budget, consistent, None, diagnostics)
+    answer(db, sigma, None, &Request::certain(query), budget)
 }
 
-/// [`answer_consistently_budgeted`] against a delta-maintained
-/// [`IncrementalState`]: the state is refreshed (incrementally when the
-/// change log permits, from scratch otherwise), the maintained hyper-graph
-/// is handed to the repair fallback instead of being rebuilt, and the
-/// refresh decision is reported as the A007 `incremental-maintenance`
-/// diagnostic. Answers are identical to [`answer_consistently_budgeted`]
-/// on the same instance — only the work to get there changes.
+/// Certain answers over S-repairs through [`answer`], against a warm
+/// [`IncrementalState`].
 pub fn answer_consistently_incremental(
     db: &Database,
     sigma: &ConstraintSet,
@@ -126,36 +136,49 @@ pub fn answer_consistently_incremental(
     state: &mut IncrementalState,
     budget: &Budget,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    let decision = state.refresh_budgeted(db, sigma, budget)?.clone();
-    let mut diagnostics = plan_diagnostics(db, sigma, query);
-    diagnostics.push(incremental_diagnostic(&decision));
-    // Σ is denial-class (IncrementalState::new enforces it), so the
-    // instance is consistent exactly when the maintained graph is edgeless.
-    let consistent = state.is_consistent();
-    plan_with(
-        db,
-        sigma,
-        query,
-        budget,
-        consistent,
-        Some(state.graph()),
-        diagnostics,
-    )
+    answer(db, sigma, Some(state), &Request::certain(query), budget)
 }
 
-/// The shared planning core: strategy selection given an already-settled
-/// consistency verdict and, optionally, a prebuilt conflict hyper-graph for
-/// the repair fallback (the incremental path supplies its maintained one).
-fn plan_with(
+/// Answer `request` with the best available strategy — the one CQA route
+/// (see the module docs for the decision table).
+///
+/// With a `warm` [`IncrementalState`], the state is refreshed first
+/// (incrementally when the change log permits, from scratch otherwise),
+/// its maintained hyper-graph settles consistency and feeds the factored
+/// fold instead of being rebuilt, and the refresh decision is reported as
+/// the A007 `incremental-maintenance` diagnostic. Answers are identical to
+/// the cold route on the same instance — only the work to get there
+/// changes.
+///
+/// Direct evaluation and FO rewriting are polynomial and always produce an
+/// [`Outcome::Exact`] answer — a budget never degrades them. Only the
+/// enumeration strategies are metered; on truncation they report the
+/// sound approximation documented on
+/// [`consistent_answers_budgeted`] (certain: a subset) and
+/// [`possible_answers_budgeted`] (possible: a superset where one exists).
+pub fn answer(
     db: &Database,
     sigma: &ConstraintSet,
-    query: &UnionQuery,
+    warm: Option<&mut IncrementalState>,
+    request: &Request<'_>,
     budget: &Budget,
-    consistent: bool,
-    prebuilt: Option<&ConflictHypergraph>,
-    diagnostics: Vec<Diagnostic>,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    // Consistent instance: certain answers are the plain answers.
+    let query = request.query;
+    let mut diagnostics = plan_diagnostics(db, sigma, query);
+    // Σ is denial-class whenever a state exists (IncrementalState::new
+    // enforces it), so the instance is consistent exactly when the
+    // maintained graph is edgeless.
+    let (consistent, warm) = match warm {
+        Some(state) => {
+            diagnostics.push(incremental_diagnostic(
+                state.refresh_budgeted(db, sigma, budget)?,
+            ));
+            (state.is_consistent(), Some(&*state))
+        }
+        None => (sigma.is_satisfied(db)?, None),
+    };
+
+    // Rule 1. Consistent instance: every answer is the plain answer.
     if consistent {
         return Ok(Outcome::Exact(PlannedAnswer {
             answers: cqa_query::eval_ucq(db, query, NullSemantics::Sql)
@@ -167,10 +190,12 @@ fn plan_with(
         }));
     }
 
-    // Rewriting path: keys-only Σ, single self-join-free CQ.
-    if let Some(keys) = keys_only(db, sigma) {
-        if let [cq] = &query.disjuncts[..] {
-            match rewrite_key_query(cq, &keys) {
+    // Rule 2. Rewriting path: certain answers over S-repairs, keys-only Σ,
+    // single self-join-free CQ. Otherwise, say why not.
+    let reason = match (request.kind, request.class, keys_only(db, sigma)) {
+        (AnswerKind::Possible, ..) => "possible answers are folded over the repair family".into(),
+        (AnswerKind::Certain, RepairClass::Subset, Some(keys)) => match &query.disjuncts[..] {
+            [cq] => match rewrite_key_query(cq, &keys) {
                 Ok(fo) => {
                     return Ok(Outcome::Exact(PlannedAnswer {
                         answers: eval_fo(db, &fo, NullSemantics::Structural),
@@ -178,63 +203,20 @@ fn plan_with(
                         diagnostics,
                     }));
                 }
-                Err(KeyRewriteError::CyclicAttackGraph { witness }) => {
-                    let reason = format!(
-                        "attack graph cyclic at atoms {} and {}: CQA is coNP-complete",
-                        witness.0, witness.1
-                    );
-                    return fallback(db, sigma, query, reason, diagnostics, budget, prebuilt);
-                }
-                Err(e) => {
-                    return fallback(
-                        db,
-                        sigma,
-                        query,
-                        e.to_string(),
-                        diagnostics,
-                        budget,
-                        prebuilt,
-                    );
-                }
-            }
+                Err(KeyRewriteError::CyclicAttackGraph { witness }) => format!(
+                    "attack graph cyclic at atoms {} and {}: CQA is coNP-complete",
+                    witness.0, witness.1
+                ),
+                Err(e) => e.to_string(),
+            },
+            _ => "query is a union, not a single CQ".into(),
+        },
+        (AnswerKind::Certain, RepairClass::Subset, None) => non_key_reason(&diagnostics),
+        (AnswerKind::Certain, class, _) => {
+            format!("the FO rewriting covers S-repairs only, not the {class:?} class")
         }
-        return fallback(
-            db,
-            sigma,
-            query,
-            "query is a union, not a single CQ".into(),
-            diagnostics,
-            budget,
-            prebuilt,
-        );
-    }
-    // Non-key Σ: say *why* in terms of what the lints recognized.
-    let mut reason = "Σ is not a set of primary keys".to_string();
-    if diagnostics.iter().any(|d| d.code == DiagCode::FdIsKey) {
-        reason.push_str(
-            "; some FDs cover their whole schema (C004 fd-is-key): \
-             declaring them as keys would open the FO-rewriting path",
-        );
-    }
-    if diagnostics
-        .iter()
-        .any(|d| d.code == DiagCode::SubsumedConstraint || d.code == DiagCode::DuplicateConstraint)
-    {
-        reason.push_str("; Σ contains redundant constraints (C001/C003)");
-    }
-    fallback(db, sigma, query, reason, diagnostics, budget, prebuilt)
-}
+    };
 
-#[allow(clippy::too_many_arguments)]
-fn fallback(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    reason: String,
-    mut diagnostics: Vec<Diagnostic>,
-    budget: &Budget,
-    prebuilt: Option<&ConflictHypergraph>,
-) -> Result<Outcome<PlannedAnswer>, RelationError> {
     // Both enumeration strategies quantify the query over a repair family;
     // the subplan cache shares per-view answer sets across that fold.
     // Snapshot the counters here so A008 reports this fold's delta.
@@ -245,15 +227,15 @@ fn fallback(
     } else {
         reason
     };
-    // Factored path: with ≥ 2 conflict components the repair family is a
+    // Rule 3. With ≥ 2 conflict components the repair family is a
     // cross-product of independent per-component families, so enumeration
-    // and the certain fold run per component (see `cqa-core::factored`).
+    // and the fold run per component (see `cqa-core::factored`).
     // Single-component instances keep the monolithic path — the
     // factorization would be the identity.
-    if sigma.is_denial_class() {
+    if sigma.is_denial_class() && request.class != RepairClass::AttributeNull {
         let owned;
-        let graph = match prebuilt {
-            Some(g) => g,
+        let graph = match warm {
+            Some(state) => state.graph(),
             None => {
                 owned = sigma.conflict_hypergraph(db)?;
                 &owned
@@ -261,7 +243,7 @@ fn fallback(
         };
         if graph.components().components.len() >= 2 {
             let base = std::sync::Arc::new(db.clone());
-            let out = factored_certain_with(&base, graph, query, &RepairClass::Subset, budget)?;
+            let out = factored_with(&base, graph, query, request.class, request.kind, budget)?;
             return Ok(out.map(|(answers, factorization)| {
                 diagnostics.push(factorization_diagnostic(&factorization));
                 diagnostics.push(plan_cache_diagnostic(cache_on, &cache_before));
@@ -276,7 +258,11 @@ fn fallback(
             }));
         }
     }
-    let answers = consistent_answers_budgeted(db, sigma, query, &RepairClass::Subset, budget)?;
+    // Rule 4. The monolithic reference fold.
+    let answers = match request.kind {
+        AnswerKind::Certain => consistent_answers_budgeted,
+        AnswerKind::Possible => possible_answers_budgeted,
+    }(db, sigma, query, &request.class, budget)?;
     Ok(answers.map(|answers| {
         diagnostics.push(plan_cache_diagnostic(cache_on, &cache_before));
         PlannedAnswer {
@@ -285,6 +271,25 @@ fn fallback(
             diagnostics,
         }
     }))
+}
+
+/// Why a non-key Σ rules out rewriting, in terms of what the lints
+/// recognized.
+fn non_key_reason(diagnostics: &[Diagnostic]) -> String {
+    let mut reason = "Σ is not a set of primary keys".to_string();
+    if diagnostics.iter().any(|d| d.code == DiagCode::FdIsKey) {
+        reason.push_str(
+            "; some FDs cover their whole schema (C004 fd-is-key): \
+             declaring them as keys would open the FO-rewriting path",
+        );
+    }
+    if diagnostics
+        .iter()
+        .any(|d| d.code == DiagCode::SubsumedConstraint || d.code == DiagCode::DuplicateConstraint)
+    {
+        reason.push_str("; Σ contains redundant constraints (C001/C003)");
+    }
+    reason
 }
 
 /// The A008 informational finding describing how the subplan cache behaved
@@ -355,11 +360,18 @@ mod tests {
         (db, sigma)
     }
 
+    /// Certain answers over S-repairs, cold and unbudgeted.
+    fn planned(db: &Database, sigma: &ConstraintSet, q: &UnionQuery) -> PlannedAnswer {
+        answer(db, sigma, None, &Request::certain(q), &Budget::unlimited())
+            .unwrap()
+            .into_value()
+    }
+
     #[test]
     fn rewritable_query_uses_rewriting() {
         let (db, sigma) = employee();
         let q = UnionQuery::single(parse_query("Q(x, y) :- Employee(x, y)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         assert_eq!(planned.strategy, Strategy::FoRewriting);
         assert_eq!(planned.answers, [tuple!["smith", 3000]].into());
         // And it agrees with the reference semantics.
@@ -383,7 +395,7 @@ mod tests {
             KeyConstraint::new("S", ["A"]),
         ]);
         let q = UnionQuery::single(parse_query("Q() :- R(x, y), S(y, x)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         match &planned.strategy {
             Strategy::RepairEnumeration { reason } => {
                 assert!(reason.contains("coNP"), "reason: {reason}");
@@ -401,7 +413,7 @@ mod tests {
         let sigma =
             ConstraintSet::from_iter([DenialConstraint::parse("d", "S(x), S(y), x != y").unwrap()]);
         let q = UnionQuery::single(parse_query("Q(x) :- S(x)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         assert!(matches!(
             planned.strategy,
             Strategy::RepairEnumeration { .. }
@@ -414,7 +426,7 @@ mod tests {
         let (mut db, sigma) = employee();
         db.delete(cqa_relation::Tid(2)).unwrap();
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         assert_eq!(planned.strategy, Strategy::DirectEvaluation);
         assert_eq!(planned.answers.len(), 2);
     }
@@ -431,7 +443,7 @@ mod tests {
         let fd = cqa_constraints::FunctionalDependency::new("Employee", ["Name"], ["Salary"]);
         let sigma = ConstraintSet::from_iter([fd]);
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         match &planned.strategy {
             Strategy::RepairEnumeration { reason } => {
                 assert!(reason.contains("fd-is-key"), "reason: {reason}");
@@ -448,7 +460,7 @@ mod tests {
     fn planner_reports_query_lints() {
         let (db, sigma) = employee();
         let q = UnionQuery::single(parse_query("Q() :- Employee(x, y), Employee(u, w)").unwrap());
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         assert!(planned
             .diagnostics
             .iter()
@@ -459,7 +471,7 @@ mod tests {
     fn union_queries_fall_back_with_reason() {
         let (db, sigma) = employee();
         let q = cqa_query::parse_ucq("Q(x) :- Employee(x, y)\nQ(x) :- Employee(x, 3000)").unwrap();
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         match &planned.strategy {
             Strategy::RepairEnumeration { reason } => assert!(reason.contains("union")),
             other => panic!("unexpected: {other:?}"),
@@ -477,7 +489,7 @@ mod tests {
         let incr = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
             .unwrap()
             .into_value();
-        let batch = answer_consistently(&db, &sigma, &q).unwrap();
+        let batch = planned(&db, &sigma, &q);
         assert_eq!(incr.answers, batch.answers);
         assert_eq!(incr.strategy, batch.strategy);
         let a007 = incr
@@ -510,7 +522,7 @@ mod tests {
         // A second violating name group: two conflict components.
         db.insert("Employee", tuple!["smith", 3500]).unwrap();
         let q = cqa_query::parse_ucq("Q(x) :- Employee(x, y)\nQ(x) :- Employee(x, 3000)").unwrap();
-        let planned = answer_consistently(&db, &sigma, &q).unwrap();
+        let planned = planned(&db, &sigma, &q);
         match &planned.strategy {
             Strategy::FactoredEnumeration {
                 reason,

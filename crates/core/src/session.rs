@@ -20,21 +20,16 @@
 //! state). Query-time refresh runs unbudgeted — it is incremental and
 //! cheap by construction — so a query request's budget meters exactly the
 //! same work it would meter on the one-shot path: truncation outcomes are
-//! identical between a warm session and a cold `answer_consistently_budgeted`
-//! call under the same logical budget.
+//! identical between a warm session and a cold [`answer`] call under the
+//! same logical budget.
 
-use crate::cqa::{consistent_answers_budgeted, possible_answers_budgeted, RepairClass};
+use crate::cqa::{repairs_budgeted, RepairClass};
 use crate::delta::{IncrementalState, MaintenanceDecision};
-use crate::planner::{
-    answer_consistently_budgeted, answer_consistently_incremental, PlannedAnswer,
-};
+use crate::planner::{answer, PlannedAnswer, Request};
 use crate::repair::Repair;
-use crate::srepair::RepairOptions;
 use cqa_constraints::ConstraintSet;
 use cqa_exec::{Budget, Outcome};
-use cqa_query::UnionQuery;
 use cqa_relation::{Database, RelationError, Tid, Tuple, Value};
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// One tenant's loaded instance plus warm CQA artifacts. See the module
@@ -164,73 +159,35 @@ impl CqaSession {
         }
     }
 
-    /// Certain answers under the planner (subset repairs), against the warm
-    /// maintained hyper-graph when available. Byte-identical to
-    /// [`answer_consistently_budgeted`] on the same instance and budget.
-    pub fn certain(
+    /// Answer `request` through the one CQA route ([`answer`]), against
+    /// the warm maintained hyper-graph when available. Byte-identical to
+    /// the cold route on the same instance and budget.
+    pub fn answer(
         &mut self,
-        query: &UnionQuery,
+        request: &Request<'_>,
         budget: &Budget,
     ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-        match &mut self.state {
-            Some(state) => {
-                // Query-time refresh is unbudgeted (see module docs), so the
-                // request budget meters exactly the planning work.
-                state.refresh(&self.db, &self.sigma)?;
-                answer_consistently_incremental(&self.db, &self.sigma, query, state, budget)
-            }
-            None => answer_consistently_budgeted(&self.db, &self.sigma, query, budget),
+        if let Some(state) = &mut self.state {
+            // Query-time refresh is unbudgeted (see module docs), so the
+            // request budget meters exactly the planning work.
+            state.refresh(&self.db, &self.sigma)?;
         }
+        answer(&self.db, &self.sigma, self.state.as_mut(), request, budget)
     }
 
-    /// Certain answers over an explicit repair class (the non-planned
-    /// reference semantics).
-    pub fn certain_with_class(
-        &self,
-        query: &UnionQuery,
-        class: &RepairClass,
-        budget: &Budget,
-    ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-        consistent_answers_budgeted(&self.db, &self.sigma, query, class, budget)
-    }
-
-    /// Possible answers over a repair class.
-    pub fn possible(
-        &self,
-        query: &UnionQuery,
-        class: &RepairClass,
-        budget: &Budget,
-    ) -> Result<Outcome<BTreeSet<Tuple>>, RelationError> {
-        possible_answers_budgeted(&self.db, &self.sigma, query, class, budget)
-    }
-
-    /// Enumerate delta repairs of the session's instance. Subset and
-    /// cardinality classes share the session's `Arc`ed base — zero instance
-    /// clones. [`RepairClass::AttributeNull`] has no delta representation;
-    /// callers route it to [`attribute_repairs`](CqaSession::attribute_repairs)
-    /// instead (passing it here behaves as [`RepairClass::Subset`]).
+    /// Enumerate delta repairs of the session's instance through
+    /// [`repairs_budgeted`]. Subset and cardinality classes share the
+    /// session's `Arc`ed base — zero instance clones.
+    /// [`RepairClass::AttributeNull`] has no delta representation; callers
+    /// route it to [`attribute_repairs`](CqaSession::attribute_repairs)
+    /// instead.
     pub fn repairs(
         &self,
-        class: &RepairClass,
+        class: RepairClass,
         limit: Option<usize>,
         budget: &Budget,
     ) -> Result<Outcome<Vec<Repair>>, RelationError> {
-        match class {
-            RepairClass::Cardinality => crate::crepair::c_repairs_budgeted(
-                &self.db,
-                &self.sigma,
-                &RepairOptions::default(),
-                budget,
-            ),
-            _ => {
-                let options = RepairOptions {
-                    limit,
-                    allow_insertions: !matches!(class, RepairClass::SubsetDeletionsOnly),
-                    ..Default::default()
-                };
-                crate::srepair::s_repairs_budgeted(&self.db, &self.sigma, &options, budget)
-            }
-        }
+        repairs_budgeted(&self.db, &self.sigma, class, limit, budget)
     }
 
     /// Attribute-based null repairs (polynomial, always exact).
@@ -279,8 +236,18 @@ mod tests {
         assert_eq!(session.violation_count(), Some(2));
         // Warm certain answers == one-shot planner on the same instance.
         let q = cqa_query::UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
-        let warm = session.certain(&q, &budget).unwrap().into_value();
-        let cold = crate::planner::answer_consistently(session.db(), session.sigma(), &q).unwrap();
+        let warm = session
+            .answer(&Request::certain(&q), &budget)
+            .unwrap()
+            .into_value();
+        let cold = crate::planner::answer_consistently_budgeted(
+            session.db(),
+            session.sigma(),
+            &q,
+            &budget,
+        )
+        .unwrap()
+        .into_value();
         assert_eq!(warm.answers, cold.answers);
         assert_eq!(warm.strategy, cold.strategy);
         // Delete the new tuple: back to one violation.
@@ -296,7 +263,7 @@ mod tests {
             CqaSession::from_text("@relation T(K, V)\n1, 1\n1, 2\n", "key T(K)\n").unwrap();
         let budget = Budget::unlimited();
         let repairs = session
-            .repairs(&RepairClass::Subset, None, &budget)
+            .repairs(RepairClass::Subset, None, &budget)
             .unwrap()
             .into_value();
         assert_eq!(repairs.len(), 2);
@@ -320,8 +287,10 @@ mod tests {
         .unwrap();
         let q = cqa_query::UnionQuery::single(parse_query("Q(x) :- T(x, y)").unwrap());
         for steps in [1u64, 5, 50, 5000] {
-            let warm = session.certain(&q, &Budget::steps(steps)).unwrap();
-            let cold = answer_consistently_budgeted(
+            let warm = session
+                .answer(&Request::certain(&q), &Budget::steps(steps))
+                .unwrap();
+            let cold = crate::planner::answer_consistently_budgeted(
                 session.db(),
                 session.sigma(),
                 &q,
@@ -354,7 +323,10 @@ mod tests {
             MaintenanceDecision::Recompute { .. }
         ));
         let q = cqa_query::UnionQuery::single(parse_query("Q(x) :- R(x)").unwrap());
-        let answers = session.certain(&q, &budget).unwrap().into_value();
+        let answers = session
+            .answer(&Request::certain(&q), &budget)
+            .unwrap()
+            .into_value();
         assert_eq!(answers.answers.len(), 0); // S(1) missing: not consistent-certain
     }
 }

@@ -128,31 +128,15 @@ pub fn s_repairs(db: &Database, sigma: &ConstraintSet) -> Result<Vec<Repair>, Re
 ///
 /// The original instance is cloned **once** into a shared [`Arc`] base; the
 /// enumerated repairs are copy-on-write deltas over it. Callers that already
-/// hold an `Arc<Database>` should use [`s_repairs_with_arc`] to skip even
+/// hold an `Arc<Database>` should use [`s_repairs_budgeted`] to skip even
 /// that clone.
 pub fn s_repairs_with(
     db: &Database,
     sigma: &ConstraintSet,
     options: &RepairOptions,
 ) -> Result<Vec<Repair>, RelationError> {
-    s_repairs_with_arc(&Arc::new(db.clone()), sigma, options)
-}
-
-/// Enumerate all S-repairs over a shared base instance, clone-free.
-pub fn s_repairs_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-) -> Result<Vec<Repair>, RelationError> {
-    s_repairs_with_arc(db, sigma, &RepairOptions::default())
-}
-
-/// Enumerate S-repairs over a shared base instance with explicit options.
-pub fn s_repairs_with_arc(
-    db: &Arc<Database>,
-    sigma: &ConstraintSet,
-    options: &RepairOptions,
-) -> Result<Vec<Repair>, RelationError> {
-    Ok(s_repairs_budgeted(db, sigma, options, &Budget::unlimited())?.into_value())
+    let base = Arc::new(db.clone());
+    Ok(s_repairs_budgeted(&base, sigma, options, &Budget::unlimited())?.into_value())
 }
 
 /// Budget-aware S-repair enumeration: the anytime entry point behind

@@ -3,29 +3,20 @@
 //! over relational repairs.
 //!
 //! * **AR** ("ABox Repair") semantics is exactly consistent query
-//!   answering: true in every repair.
+//!   answering over S-repairs: true in every repair
+//!   ([`consistent_answers`](crate::cqa::consistent_answers) with
+//!   [`RepairClass::Subset`](crate::cqa::RepairClass::Subset)).
 //! * **IAR** ("Intersection of ABox Repairs") semantics evaluates the query
 //!   over the *intersection* of all repairs — the consistent core. IAR is a
 //!   sound approximation of AR (`IAR ⊆ AR`) computable without enumerating
 //!   answers per repair, which is why the OBDA literature uses it as the
 //!   tractable fallback.
 
-use crate::cqa::{consistent_answers, RepairClass};
 use crate::srepair::consistent_core;
 use cqa_constraints::ConstraintSet;
 use cqa_query::{eval_ucq, NullSemantics, UnionQuery};
 use cqa_relation::{Database, RelationError, Tuple};
 use std::collections::BTreeSet;
-
-/// AR answers: true in every repair (an alias of CQA, named for the OBDA
-/// correspondence).
-pub fn ar_answers(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-) -> Result<BTreeSet<Tuple>, RelationError> {
-    consistent_answers(db, sigma, query, &RepairClass::Subset)
-}
 
 /// IAR answers: evaluate over the intersection of all S-repairs.
 pub fn iar_answers(
@@ -44,6 +35,7 @@ pub fn iar_answers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cqa::{consistent_answers, RepairClass};
     use cqa_constraints::KeyConstraint;
     use cqa_query::parse_query;
     use cqa_relation::{tuple, RelationSchema};
@@ -65,7 +57,7 @@ mod tests {
         // Projection query: AR keeps `page` (some salary in every repair)
         // but IAR drops it (no page row is in the core).
         let q = UnionQuery::single(parse_query("Q(x) :- Employee(x, y)").unwrap());
-        let ar = ar_answers(&db, &sigma, &q).unwrap();
+        let ar = consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         let iar = iar_answers(&db, &sigma, &q).unwrap();
         assert!(iar.is_subset(&ar));
         assert!(ar.contains(&tuple!["page"]));
@@ -77,7 +69,7 @@ mod tests {
     fn on_full_rows_ar_and_iar_agree_for_keys() {
         let (db, sigma) = db();
         let q = UnionQuery::single(parse_query("Q(x, y) :- Employee(x, y)").unwrap());
-        let ar = ar_answers(&db, &sigma, &q).unwrap();
+        let ar = consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         let iar = iar_answers(&db, &sigma, &q).unwrap();
         // A full row is in every key repair iff its key group is a
         // singleton iff it is in the core.
@@ -91,7 +83,10 @@ mod tests {
         db.delete(cqa_relation::Tid(2)).unwrap();
         let q = UnionQuery::single(parse_query("Q(x, y) :- Employee(x, y)").unwrap());
         let plain = cqa_query::eval_ucq(&db, &q, NullSemantics::Structural);
-        assert_eq!(ar_answers(&db, &sigma, &q).unwrap(), plain);
+        assert_eq!(
+            consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap(),
+            plain
+        );
         assert_eq!(iar_answers(&db, &sigma, &q).unwrap(), plain);
     }
 }

@@ -17,8 +17,7 @@ use crate::wire::{
     budget_from_body, int_json, strategy_tag, strings_json, truncation_json, tuple_from_json,
     value_from_json,
 };
-use cqa_core::cqa::RepairClass;
-use cqa_core::CqaSession;
+use cqa_core::{AnswerKind, CqaSession, RepairClass};
 use cqa_exec::{Budget, CancelToken};
 use cqa_query::UnionQuery;
 use std::sync::RwLock;
@@ -352,44 +351,9 @@ fn query(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
         Ok(c) => c,
         Err(reply) => return reply,
     };
-    let kind = body.get("kind").and_then(Json::as_str).unwrap_or("certain");
-    let mut pairs = Vec::new();
-    let truncated = match kind {
-        "certain" if matches!(class, RepairClass::Subset) => {
-            // The planned path: warm incremental state + strategy report.
-            let planned = match session.certain(&query, budget) {
-                Ok(p) => p,
-                Err(e) => return Reply::error(400, e.to_string()),
-            };
-            let t = truncation_json(&planned);
-            let planned = planned.into_value();
-            pairs.push(("answers".to_string(), strings_json(&planned.answers)));
-            pairs.push((
-                "strategy".to_string(),
-                Json::str(strategy_tag(&planned.strategy)),
-            ));
-            t
-        }
-        "certain" => {
-            let answers = match session.certain_with_class(&query, &class, budget) {
-                Ok(a) => a,
-                Err(e) => return Reply::error(400, e.to_string()),
-            };
-            let t = truncation_json(&answers);
-            let answers = answers.into_value();
-            pairs.push(("answers".to_string(), strings_json(&answers)));
-            t
-        }
-        "possible" => {
-            let answers = match session.possible(&query, &class, budget) {
-                Ok(a) => a,
-                Err(e) => return Reply::error(400, e.to_string()),
-            };
-            let t = truncation_json(&answers);
-            let answers = answers.into_value();
-            pairs.push(("answers".to_string(), strings_json(&answers)));
-            t
-        }
+    let kind = match body.get("kind").and_then(Json::as_str).unwrap_or("certain") {
+        "certain" => AnswerKind::Certain,
+        "possible" => AnswerKind::Possible,
         other => {
             return Reply::error(
                 400,
@@ -397,6 +361,24 @@ fn query(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
             )
         }
     };
+    let request = cqa_core::Request {
+        query: &query,
+        kind,
+        class,
+    };
+    let planned = match session.answer(&request, budget) {
+        Ok(p) => p,
+        Err(e) => return Reply::error(400, e.to_string()),
+    };
+    let truncated = truncation_json(&planned);
+    let planned = planned.into_value();
+    let mut pairs = vec![
+        ("answers".to_string(), strings_json(&planned.answers)),
+        (
+            "strategy".to_string(),
+            Json::str(strategy_tag(&planned.strategy)),
+        ),
+    ];
     if let Some(t) = truncated {
         pairs.push(("truncated".to_string(), t));
     }
@@ -409,7 +391,7 @@ fn repairs(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
         Err(reply) => return reply,
     };
     let limit = body.get("limit").and_then(Json::as_u64).map(|n| n as usize);
-    if matches!(class, RepairClass::AttributeNull) {
+    if class == RepairClass::AttributeNull {
         let repairs = match session.attribute_repairs() {
             Ok(r) => r,
             Err(e) => return Reply::error(400, e.to_string()),
@@ -420,7 +402,7 @@ fn repairs(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
             ("repairs", strings_json(shown)),
         ]));
     }
-    let outcome = match session.repairs(&class, limit, budget) {
+    let outcome = match session.repairs(class, limit, budget) {
         Ok(o) => o,
         Err(e) => return Reply::error(400, e.to_string()),
     };

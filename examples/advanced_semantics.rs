@@ -8,8 +8,8 @@
 use inconsistent_db::causality::causal_effects;
 use inconsistent_db::cleaning::{numeric_repair, NumericConstraint};
 use inconsistent_db::core::{
-    answer_consistently, ar_answers, globally_optimal_repairs, iar_answers, pareto_optimal_repairs,
-    repairs_after_insert, update_repairs, PriorityRelation, Strategy,
+    answer, globally_optimal_repairs, iar_answers, pareto_optimal_repairs, repairs_after_insert,
+    update_repairs, PriorityRelation, Request, Strategy,
 };
 use inconsistent_db::prelude::*;
 
@@ -50,13 +50,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- AR vs IAR ---------------------------------------------------------
     let q_names = UnionQuery::single(parse_query("Q(x) :- Emp(x, y)")?);
-    let ar = ar_answers(&db, &sigma, &q_names)?;
+    let ar = consistent_answers(&db, &sigma, &q_names, &RepairClass::Subset)?;
     let iar = iar_answers(&db, &sigma, &q_names)?;
     println!("\nAR answers (true in every repair): {:?}", names(&ar));
     println!("IAR answers (true in the intersection): {:?}", names(&iar));
 
     // --- Strategy planner ---------------------------------------------------
-    let planned = answer_consistently(&db, &sigma, &q_names)?;
+    let planned = answer(
+        &db,
+        &sigma,
+        None,
+        &Request::certain(&q_names),
+        &cqa_exec::Budget::unlimited(),
+    )?
+    .into_value();
     let how = match planned.strategy {
         Strategy::FoRewriting => "FO rewriting",
         Strategy::DirectEvaluation => "direct evaluation",

@@ -9,9 +9,9 @@
 
 use cqa_constraints::{ConstraintSet, KeyConstraint};
 use cqa_core::{
-    consistent_answers, consistent_answers_factored_budgeted, factored_c_repairs_budgeted,
-    factored_s_repairs_budgeted, possible_answers, possible_answers_factored_budgeted, RepairClass,
-    RepairOptions,
+    answer, consistent_answers, consistent_answers_factored_budgeted, factored_c_repairs_budgeted,
+    factored_s_repairs_budgeted, possible_answers, possible_answers_factored_budgeted, AnswerKind,
+    IncrementalState, RepairClass, RepairOptions, Request,
 };
 use cqa_exec::{with_threads, Budget};
 use cqa_query::{holds_ucq, parse_query, NullSemantics, UnionQuery};
@@ -136,7 +136,8 @@ proptest! {
 
     /// The component-wise certain/possible folds agree with the monolithic
     /// fold over the full repair set, for both repair classes, for
-    /// per-component *and* spanning (self-join) queries, at 1 and 4 threads.
+    /// per-component *and* spanning (self-join) queries, at 1 and 4 threads;
+    /// so does the CQA route for every kind and class, cold and warm.
     #[test]
     fn factored_cqa_matches_the_monolithic_fold(
         groups in proptest::collection::vec(1u8..4, 1..6),
@@ -171,6 +172,46 @@ proptest! {
                     })?;
                     prop_assert_eq!(&certain, &mono_certain);
                     prop_assert_eq!(&possible, &mono_possible);
+                }
+            }
+        }
+        // The one CQA route agrees with the reference fold for every kind and
+        // class, cold and against a warm incremental state. Attribute-null
+        // repairs multiply fast (one three-row key group alone has 12), so
+        // that class runs on the first two key groups only.
+        let small = key_instance(&groups[..groups.len().min(2)]);
+        for class in [
+            RepairClass::Subset,
+            RepairClass::SubsetDeletionsOnly,
+            RepairClass::Cardinality,
+            RepairClass::AttributeNull,
+        ] {
+            let (db, sigma) = match class {
+                RepairClass::AttributeNull => (&small.0, &small.1),
+                _ => (&db, &sigma),
+            };
+            for q in &queries {
+                let reference = [
+                    (AnswerKind::Certain, consistent_answers(db, sigma, q, &class).unwrap()),
+                    (AnswerKind::Possible, possible_answers(db, sigma, q, &class).unwrap()),
+                ];
+                for (kind, expected) in reference {
+                    let request = Request { query: q, kind, class };
+                    for threads in [1, 4] {
+                        let (cold, warm) = with_threads(threads, || {
+                            let mut state = IncrementalState::new(db, sigma).unwrap();
+                            let budget = Budget::unlimited();
+                            (
+                                answer(db, sigma, None, &request, &budget).unwrap(),
+                                answer(db, sigma, Some(&mut state), &request, &budget).unwrap(),
+                            )
+                        });
+                        prop_assert!(cold.is_exact() && warm.is_exact());
+                        let (cold, warm) = (cold.into_value(), warm.into_value());
+                        prop_assert_eq!(&cold.answers, &expected, "{:?} {:?} cold", kind, class);
+                        prop_assert_eq!(&warm.answers, &expected, "{:?} {:?} warm", kind, class);
+                        prop_assert_eq!(&cold.strategy, &warm.strategy);
+                    }
                 }
             }
         }

@@ -11,7 +11,8 @@
 
 use cqa_constraints::{Constraint, ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
-    answer_consistently, answer_consistently_incremental, IncrementalState, MaintenanceDecision,
+    answer_consistently_budgeted, answer_consistently_incremental, IncrementalState,
+    MaintenanceDecision,
 };
 use cqa_exec::{with_threads, Budget};
 use cqa_relation::{tuple, Database, RelationSchema, Tid, Value};
@@ -135,7 +136,9 @@ proptest! {
                 )
                 .unwrap()
                 .into_value();
-                let batch = answer_consistently(&db, &sigma, &q).unwrap();
+                let batch = answer_consistently_budgeted(&db, &sigma, &q, &Budget::unlimited())
+                    .unwrap()
+                    .into_value();
                 (incr.answers, batch.answers)
             })
         };

@@ -8,7 +8,10 @@
 //! planner's cost-based choice: the orderer only moves work, never answers.
 
 use cqa_constraints::{ConstraintSet, KeyConstraint};
-use cqa_core::{consistent_answers, consistent_answers_budgeted, possible_answers, RepairClass};
+use cqa_core::{
+    answer, consistent_answers, consistent_answers_budgeted, possible_answers, AnswerKind,
+    RepairClass, Request,
+};
 use cqa_exec::{with_plan_cache, with_threads, Budget};
 use cqa_query::{
     eval_cq, eval_cq_ordered, parse_query, parse_ucq, reset_plan_cache, NullSemantics, UnionQuery,
@@ -135,6 +138,21 @@ proptest! {
             "cache moved the truncation point at {} steps", steps
         );
         prop_assert_eq!(off.into_value(), on.into_value(), "budgeted answers drifted");
+        // The CQA route, on its rewriting and factored-fold strategies.
+        for kind in [AnswerKind::Certain, AnswerKind::Possible] {
+            for class in [RepairClass::Subset, RepairClass::Cardinality] {
+                let request = Request { query: &query, kind, class };
+                let run = |cache_on: bool| {
+                    reset_plan_cache();
+                    with_plan_cache(cache_on, || {
+                        let budget = Budget::steps(steps);
+                        let out = answer(&db, &sigma, None, &request, &budget).unwrap();
+                        (out.truncation(), out.into_value().answers)
+                    })
+                };
+                prop_assert_eq!(run(false), run(true), "route drifted at {} steps", steps);
+            }
+        }
     }
 
     /// Any admissible join order gives the same answer set: a random
