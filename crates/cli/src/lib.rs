@@ -662,8 +662,8 @@ fn cmd_cqa(opts: &Opts, out: &mut String) -> Result<i32, String> {
         class: repair_class(opts)?,
     };
     let budget = budget_from(opts)?;
-    let planned =
-        cqa_core::answer(&db, &sigma, None, &request, &budget).map_err(|e| e.to_string())?;
+    let planned = cqa_core::answer(&Arc::new(db), &sigma, None, &request, &budget)
+        .map_err(|e| e.to_string())?;
     note_truncation(out, &planned);
     let planned = planned.into_value();
     let strategy = match &planned.strategy {

@@ -247,7 +247,7 @@ impl ConflictComponents {
     ///
     /// `removed`/`added` must be the set difference between the old and new
     /// graph's (canonical, superset-filtered) edge sets — exactly what
-    /// [`ConflictHypergraph::apply_delta`] feeds in. The result is
+    /// [`ConflictHypergraph::apply_violation_delta`] feeds in. The result is
     /// byte-identical to `ConflictComponents::compute` on the new graph:
     ///
     /// * a [`ComponentGraph`] is a pure function of its edge *set* (the
@@ -361,12 +361,18 @@ impl ConflictComponents {
     fn per_component<U: Send>(
         &self,
         budget: &Budget,
-        f: impl Fn(&ComponentGraph) -> U + Sync,
+        f: impl Fn(usize, &ComponentGraph) -> U + Sync,
     ) -> Vec<U> {
         if budget.forces_sequential() || cqa_exec::threads() <= 1 || self.components.len() < 2 {
-            self.components.iter().map(f).collect()
+            self.components
+                .iter()
+                .enumerate()
+                .map(|(i, c)| f(i, c))
+                .collect()
         } else {
-            cqa_exec::par_map(&self.components, f)
+            let indexed: Vec<(usize, &ComponentGraph)> =
+                self.components.iter().enumerate().collect();
+            cqa_exec::par_map(&indexed, |&(i, c)| f(i, c))
         }
     }
 
@@ -377,7 +383,7 @@ impl ConflictComponents {
     /// (so every expanded combination is a genuine global one — a sound
     /// subset), and `explored` counts the components enumerated exactly.
     pub fn minimal_hitting_sets_factored(&self, budget: &Budget) -> Outcome<FactoredFamilies> {
-        let results = self.per_component(budget, |c| {
+        let results = self.per_component(budget, |_, c| {
             let out = c.graph().minimal_hitting_sets_budgeted(None, budget);
             let exact = out.is_exact();
             (out.into_value(), exact)
@@ -396,7 +402,7 @@ impl ConflictComponents {
     /// truncation the value is an upper bound, mirroring
     /// [`ConflictHypergraph::minimum_hitting_set_size_budgeted`].
     pub fn minimum_hitting_set_size_budgeted(&self, budget: &Budget) -> Outcome<usize> {
-        let sizes = self.per_component(budget, |c| {
+        let sizes = self.per_component(budget, |_, c| {
             c.graph().minimum_hitting_set_size_budgeted(budget)
         });
         let total: usize = sizes.iter().map(|o| *o.value()).sum();
@@ -417,7 +423,7 @@ impl ConflictComponents {
         &self,
         budget: &Budget,
     ) -> Outcome<(usize, FactoredFamilies)> {
-        let sizes = self.per_component(budget, |c| {
+        let sizes = self.per_component(budget, |_, c| {
             c.graph().minimum_hitting_set_size_budgeted(budget)
         });
         let total: usize = sizes.iter().map(|o| *o.value()).sum();
@@ -429,28 +435,11 @@ impl ConflictComponents {
             return budget.outcome_with((total, fams), 0);
         }
         let sizes: Vec<usize> = sizes.into_iter().map(Outcome::into_value).collect();
-        let results: Vec<(Vec<BTreeSet<Tid>>, bool)> = if budget.forces_sequential()
-            || cqa_exec::threads() <= 1
-            || self.components.len() < 2
-        {
-            self.components
-                .iter()
-                .zip(&sizes)
-                .map(|(c, &k)| {
-                    let out = c.graph().minimum_hitting_sets_at(k, budget);
-                    let exact = out.is_exact();
-                    (out.into_value(), exact)
-                })
-                .collect()
-        } else {
-            let indexed: Vec<(usize, &ComponentGraph)> =
-                self.components.iter().enumerate().collect();
-            cqa_exec::par_map(&indexed, |&(i, c)| {
-                let out = c.graph().minimum_hitting_sets_at(sizes[i], budget);
-                let exact = out.is_exact();
-                (out.into_value(), exact)
-            })
-        };
+        let results = self.per_component(budget, |i, c| {
+            let out = c.graph().minimum_hitting_sets_at(sizes[i], budget);
+            let exact = out.is_exact();
+            (out.into_value(), exact)
+        });
         let (families, exact): (Vec<_>, Vec<_>) = results.into_iter().unzip();
         let fams = FactoredFamilies { families, exact };
         let explored = fams.exact_components();

@@ -1029,13 +1029,14 @@ mod tests {
             repairs_of(&db, &sigma, &RepairClass::Subset).unwrap().len(),
             2
         );
+        let base = Arc::new(db.clone());
         let route = |kind| {
             let request = crate::planner::Request {
                 query: &q,
                 kind,
                 class: RepairClass::Subset,
             };
-            crate::planner::answer(&db, &sigma, None, &request, &Budget::unlimited())
+            crate::planner::answer(&base, &sigma, None, &request, &Budget::unlimited())
                 .unwrap()
                 .into_value()
                 .answers

@@ -16,9 +16,12 @@
 //! [`cqa_constraints::ConstraintSet::denial_violations_delta`] joins only
 //! the touched tuples against the indexed base. The conflict hyper-graph
 //! and its component factorization are then maintained structurally:
-//! [`ConflictHypergraph::apply_delta`] diffs the canonical edge sets and
-//! rebuilds **only the touched components** (union-find merge on edge add,
-//! bounded split-on-delete), carrying everything else over verbatim.
+//! [`ConflictHypergraph::apply_violation_delta`] drops the edges touching
+//! `Δ`, merges in the minimal new sets and rebuilds **only the touched
+//! components** (union-find merge on edge add, bounded split-on-delete),
+//! carrying everything else over verbatim. Only the minimal sets — the
+//! graph's edges — are stored: a superset of an edge touching `Δ` touches
+//! `Δ` itself, so no dropped non-minimal set could ever resurface.
 //!
 //! **Contract.** After every [`IncrementalState::refresh_budgeted`] the
 //! maintained state is byte-identical to recompute-from-scratch — at any
@@ -35,7 +38,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// How a [`IncrementalState::refresh_budgeted`] call revalidated the cache.
-/// Reported by the planner as the A007 `incremental-maintenance` diagnostic.
+/// [`crate::answer_consistently_incremental`] reports it as the A007
+/// `incremental-maintenance` diagnostic.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MaintenanceDecision {
     /// The instance's epoch matched the cached epoch: nothing to do.
@@ -73,15 +77,13 @@ impl MaintenanceDecision {
 }
 
 /// Incrementally maintained conflict state for one `(Database, Σ)` pair:
-/// the denial violation sets, the conflict hyper-graph built over them, and
-/// (primed inside the graph) the component factorization with its frozen
-/// core. Bound to one database identity via the mutation epoch — refresh it
-/// only against the database it was built from (or a clone, which carries
-/// the epoch along).
+/// the conflict hyper-graph over its denial violation sets, with the
+/// component factorization and frozen core primed inside it. Bound to one
+/// database identity via the mutation epoch — refresh it only against the
+/// database it was built from (or a clone, which carries the epoch along).
 #[derive(Debug, Clone)]
 pub struct IncrementalState {
     epoch: u64,
-    violations: BTreeSet<BTreeSet<Tid>>,
     graph: ConflictHypergraph,
     last: MaintenanceDecision,
 }
@@ -96,25 +98,19 @@ impl IncrementalState {
                 "incremental maintenance requires denial-class constraints only (no tgds)".into(),
             ));
         }
-        let (violations, graph) = Self::full(db, sigma)?;
         Ok(IncrementalState {
             epoch: db.epoch(),
-            violations,
-            graph,
+            graph: Self::full(db, sigma)?,
             last: MaintenanceDecision::Recompute {
                 reason: "initial build".into(),
             },
         })
     }
 
-    fn full(
-        db: &Database,
-        sigma: &ConstraintSet,
-    ) -> Result<(BTreeSet<BTreeSet<Tid>>, ConflictHypergraph), RelationError> {
-        let violations = sigma.denial_violations(db)?;
-        let graph = ConflictHypergraph::new(db.tids(), violations.iter().cloned());
+    fn full(db: &Database, sigma: &ConstraintSet) -> Result<ConflictHypergraph, RelationError> {
+        let graph = ConflictHypergraph::new(db.tids(), sigma.denial_violations(db)?);
         let _ = graph.components(); // prime the factorization
-        Ok((violations, graph))
+        Ok(graph)
     }
 
     /// [`IncrementalState::refresh_budgeted`] with an unlimited budget.
@@ -170,15 +166,11 @@ impl IncrementalState {
         }
         debug_assert_eq!(nodes, db.tids(), "maintained node set drifted");
         // Monotone-body maintenance identity: keep the old sets untouched
-        // by the dirty tids, re-derive everything involving them. Retention
-        // is in place — the kept sets (the overwhelming majority under a
-        // small delta) are never re-cloned — and the graph is maintained
-        // from the delta alone, never re-canonicalizing the full edge list.
+        // by the dirty tids, re-derive everything involving them. The graph
+        // is maintained from the delta alone, never re-canonicalizing the
+        // full edge list.
         let delta = sigma.denial_violations_delta(db, &dirty)?;
         self.graph = self.graph.apply_violation_delta(nodes, &dirty, &delta);
-        self.violations
-            .retain(|v| v.iter().all(|t| !dirty.contains(t)));
-        self.violations.extend(delta);
         self.epoch = db.epoch();
         self.last = MaintenanceDecision::Incremental {
             changes: changes.len(),
@@ -193,9 +185,7 @@ impl IncrementalState {
         sigma: &ConstraintSet,
         reason: &str,
     ) -> Result<&MaintenanceDecision, RelationError> {
-        let (violations, graph) = Self::full(db, sigma)?;
-        self.violations = violations;
-        self.graph = graph;
+        self.graph = Self::full(db, sigma)?;
         self.epoch = db.epoch();
         // A structural reset means the instance drifted past what the
         // change log describes; the subplan cache's stamp keys stay sound
@@ -212,11 +202,6 @@ impl IncrementalState {
     /// The epoch the state is current at.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// The maintained denial violation sets (union over Σ's denials).
-    pub fn violations(&self) -> &BTreeSet<BTreeSet<Tid>> {
-        &self.violations
     }
 
     /// The maintained conflict hyper-graph (components primed).
@@ -265,7 +250,6 @@ mod tests {
     /// The maintained state must equal a from-scratch build, byte for byte.
     fn assert_identical(state: &IncrementalState, db: &Database, sigma: &ConstraintSet) {
         let fresh = scratch(db, sigma);
-        assert_eq!(state.violations, fresh.violations);
         assert_eq!(state.graph, fresh.graph);
         assert_eq!(*state.components(), *fresh.components());
         assert_eq!(state.epoch, db.epoch());
@@ -383,6 +367,6 @@ mod tests {
         let t = db.insert("Acct", tuple![3, -7]).unwrap();
         state.refresh(&db, &sigma).unwrap();
         assert_identical(&state, &db, &sigma);
-        assert_eq!(state.violations(), &[[t].into()].into());
+        assert_eq!(state.graph().edges, vec![[t].into()]);
     }
 }

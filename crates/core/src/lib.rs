@@ -64,15 +64,12 @@ pub use factored::{
 pub use incremental::{insert_preserves_consistency, repairs_after_insert, IncrementalRepairs};
 pub use measures::{core_gap, inconsistency_degree};
 pub use nullrepair::{has_solution, null_tuple_repairs, NullTupleRepair, RepairStyle};
-pub use planner::{
-    answer, answer_consistently_budgeted, answer_consistently_incremental, plan_diagnostics,
-    PlannedAnswer, Request, Strategy,
-};
+pub use planner::{answer, plan_diagnostics, PlannedAnswer, Request, Strategy};
 pub use prioritized::{globally_optimal_repairs, pareto_optimal_repairs, PriorityRelation};
 pub use privacy::SecrecyView;
 pub use repair::{retain_subset_minimal, Change, Repair};
 pub use rewrite::{attack_graph, residue_rewrite, rewrite_key_query, KeyRewriteError};
-pub use session::CqaSession;
+pub use session::{answer_consistently_budgeted, answer_consistently_incremental, CqaSession};
 pub use srepair::{consistent_core, s_repairs, s_repairs_budgeted, s_repairs_with, RepairOptions};
 pub use tolerant::iar_answers;
 pub use update_repair::{min_change_update_repair, update_repairs, CellUpdate, UpdateRepair};

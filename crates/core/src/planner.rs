@@ -29,6 +29,7 @@ use cqa_exec::{Budget, Outcome};
 use cqa_query::{eval_fo, NullSemantics, UnionQuery};
 use cqa_relation::{Database, RelationError, Tuple};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// How the planner answered the query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -117,38 +118,15 @@ fn keys_only(db: &Database, sigma: &ConstraintSet) -> Option<KeyPositions> {
     Some(keys)
 }
 
-/// Certain answers over S-repairs through [`answer`], cold.
-pub fn answer_consistently_budgeted(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    budget: &Budget,
-) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    answer(db, sigma, None, &Request::certain(query), budget)
-}
-
-/// Certain answers over S-repairs through [`answer`], against a warm
-/// [`IncrementalState`].
-pub fn answer_consistently_incremental(
-    db: &Database,
-    sigma: &ConstraintSet,
-    query: &UnionQuery,
-    state: &mut IncrementalState,
-    budget: &Budget,
-) -> Result<Outcome<PlannedAnswer>, RelationError> {
-    answer(db, sigma, Some(state), &Request::certain(query), budget)
-}
-
 /// Answer `request` with the best available strategy — the one CQA route
 /// (see the module docs for the decision table).
 ///
-/// With a `warm` [`IncrementalState`], the state is refreshed first
-/// (incrementally when the change log permits, from scratch otherwise),
-/// its maintained hyper-graph settles consistency and feeds the factored
-/// fold instead of being rebuilt, and the refresh decision is reported as
-/// the A007 `incremental-maintenance` diagnostic. Answers are identical to
-/// the cold route on the same instance — only the work to get there
-/// changes.
+/// A `warm` [`IncrementalState`] current at `db.epoch()` settles
+/// consistency and feeds the factored fold its maintained hyper-graph
+/// instead of a rebuilt one; a state at any other epoch is ignored and the
+/// call takes the cold route. The state is only read — keeping it current
+/// is the writer's job. Answers are identical to the cold route on the
+/// same instance — only the work to get there changes.
 ///
 /// Direct evaluation and FO rewriting are polynomial and always produce an
 /// [`Outcome::Exact`] answer — a budget never degrades them. Only the
@@ -157,25 +135,22 @@ pub fn answer_consistently_incremental(
 /// [`consistent_answers_budgeted`] (certain: a subset) and
 /// [`possible_answers_budgeted`] (possible: a superset where one exists).
 pub fn answer(
-    db: &Database,
+    base: &Arc<Database>,
     sigma: &ConstraintSet,
-    warm: Option<&mut IncrementalState>,
+    warm: Option<&IncrementalState>,
     request: &Request<'_>,
     budget: &Budget,
 ) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    let db: &Database = base;
     let query = request.query;
     let mut diagnostics = plan_diagnostics(db, sigma, query);
-    // Σ is denial-class whenever a state exists (IncrementalState::new
-    // enforces it), so the instance is consistent exactly when the
-    // maintained graph is edgeless.
-    let (consistent, warm) = match warm {
-        Some(state) => {
-            diagnostics.push(incremental_diagnostic(
-                state.refresh_budgeted(db, sigma, budget)?,
-            ));
-            (state.is_consistent(), Some(&*state))
-        }
-        None => (sigma.is_satisfied(db)?, None),
+    // A stale state is never trusted. Σ is denial-class whenever a state
+    // exists (IncrementalState::new enforces it), so the instance is
+    // consistent exactly when the maintained graph is edgeless.
+    let warm = warm.filter(|state| state.epoch() == db.epoch());
+    let consistent = match warm {
+        Some(state) => state.is_consistent(),
+        None => sigma.is_satisfied(db)?,
     };
 
     // Rule 1. Consistent instance: every answer is the plain answer.
@@ -242,8 +217,7 @@ pub fn answer(
             }
         };
         if graph.components().components.len() >= 2 {
-            let base = std::sync::Arc::new(db.clone());
-            let out = factored_with(&base, graph, query, request.class, request.kind, budget)?;
+            let out = factored_with(base, graph, query, request.class, request.kind, budget)?;
             return Ok(out.map(|(answers, factorization)| {
                 diagnostics.push(factorization_diagnostic(&factorization));
                 diagnostics.push(plan_cache_diagnostic(cache_on, &cache_before));
@@ -311,12 +285,6 @@ fn plan_cache_diagnostic(enabled: bool, before: &cqa_query::PlanCacheStats) -> D
     Diagnostic::new(DiagCode::PlanCache, message)
 }
 
-/// The A007 informational finding describing how the incremental planner
-/// revalidated its cached conflict state.
-fn incremental_diagnostic(decision: &crate::delta::MaintenanceDecision) -> Diagnostic {
-    Diagnostic::new(DiagCode::IncrementalMaintenance, decision.describe())
-}
-
 /// The A006 informational finding describing a factorized run.
 fn factorization_diagnostic(f: &Factorization) -> Diagnostic {
     let product = match f.product_repairs {
@@ -345,6 +313,7 @@ fn factorization_diagnostic(f: &Factorization) -> Diagnostic {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::answer_consistently_budgeted;
     use cqa_constraints::{DenialConstraint, KeyConstraint};
     use cqa_query::parse_query;
     use cqa_relation::{tuple, RelationSchema};
@@ -362,7 +331,7 @@ mod tests {
 
     /// Certain answers over S-repairs, cold and unbudgeted.
     fn planned(db: &Database, sigma: &ConstraintSet, q: &UnionQuery) -> PlannedAnswer {
-        answer(db, sigma, None, &Request::certain(q), &Budget::unlimited())
+        answer_consistently_budgeted(db, sigma, q, &Budget::unlimited())
             .unwrap()
             .into_value()
     }
@@ -476,44 +445,6 @@ mod tests {
             Strategy::RepairEnumeration { reason } => assert!(reason.contains("union")),
             other => panic!("unexpected: {other:?}"),
         }
-    }
-
-    #[test]
-    fn incremental_planner_matches_batch_and_reports_a007() {
-        let (mut db, sigma) = employee();
-        let mut state = IncrementalState::new(&db, &sigma).unwrap();
-        let q = cqa_query::parse_ucq("Q(x) :- Employee(x, y)\nQ(x) :- Employee(x, 3000)").unwrap();
-        // Mutate: a second conflicting name group appears.
-        db.insert("Employee", tuple!["smith", 3500]).unwrap();
-        let budget = Budget::unlimited();
-        let incr = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
-            .unwrap()
-            .into_value();
-        let batch = planned(&db, &sigma, &q);
-        assert_eq!(incr.answers, batch.answers);
-        assert_eq!(incr.strategy, batch.strategy);
-        let a007 = incr
-            .diagnostics
-            .iter()
-            .find(|d| d.code == DiagCode::IncrementalMaintenance)
-            .expect("A007 diagnostic");
-        assert!(a007.message.contains("incrementally"), "{}", a007.message);
-        // A second call with no new mutations reports a fresh cache.
-        let again = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
-            .unwrap()
-            .into_value();
-        assert_eq!(again.answers, batch.answers);
-        assert!(again
-            .diagnostics
-            .iter()
-            .any(|d| d.code == DiagCode::IncrementalMaintenance && d.message.contains("current")));
-        // Consistent after removing the conflicts: direct evaluation.
-        db.delete(cqa_relation::Tid(2)).unwrap();
-        db.delete(cqa_relation::Tid(4)).unwrap();
-        let direct = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
-            .unwrap()
-            .into_value();
-        assert_eq!(direct.strategy, Strategy::DirectEvaluation);
     }
 
     #[test]

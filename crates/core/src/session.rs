@@ -1,45 +1,83 @@
 //! A session facade over the planner and the delta-maintained conflict
 //! state: the library-level object a long-running service (`cqa-server`)
-//! holds per tenant.
+//! holds per tenant, plus the two `&Database` entry points for callers
+//! that hold no session.
 //!
 //! A [`CqaSession`] owns a loaded [`Database`] plus the warm expensive
-//! artifacts — the delta-maintained [`IncrementalState`] (violations,
-//! conflict hyper-graph, primed component factorization and frozen core)
-//! and, inside the database itself, the shared base-index cache. Mutations
-//! go through the PR 8 change-log pipeline and bring the state up to date
-//! **incrementally**; queries then plan against the maintained hyper-graph
-//! instead of rebuilding it. The facade is deliberately thin: every answer
-//! it produces is byte-identical to the corresponding one-shot library
-//! call on the same instance (`tests/server_equivalence.rs` pins this
-//! through the wire, `tests/incremental_equivalence.rs` pins the state).
+//! artifacts — the delta-maintained [`IncrementalState`] (conflict
+//! hyper-graph, primed component factorization and frozen core) and,
+//! inside the database itself, the shared base-index cache. Only writes
+//! touch the warm state: every mutation goes through the change-log
+//! pipeline and brings the state up to date **incrementally**, so reads
+//! ([`CqaSession::answer`], [`CqaSession::repairs`]) take `&self`, plan
+//! against the maintained hyper-graph instead of rebuilding it, and can
+//! run concurrently. The facade is deliberately thin: every answer it
+//! produces is byte-identical to the corresponding one-shot library call
+//! on the same instance (`tests/server_equivalence.rs` pins this through
+//! the wire, `tests/incremental_equivalence.rs` pins the state).
 //!
 //! # Budget discipline
 //!
 //! Maintenance after a mutation is metered by the *mutation* request's
 //! budget (a latch falls back to an exact full recompute — never truncated
-//! state). Query-time refresh runs unbudgeted — it is incremental and
-//! cheap by construction — so a query request's budget meters exactly the
-//! same work it would meter on the one-shot path: truncation outcomes are
-//! identical between a warm session and a cold [`answer`] call under the
-//! same logical budget.
+//! state). A query finds the state current and spends nothing on it, so a
+//! query request's budget meters exactly the same work it would meter on
+//! the one-shot path: truncation outcomes are identical between a warm
+//! session and a cold [`answer`] call under the same logical budget.
 
 use crate::cqa::{repairs_budgeted, RepairClass};
 use crate::delta::{IncrementalState, MaintenanceDecision};
 use crate::planner::{answer, PlannedAnswer, Request};
 use crate::repair::Repair;
+use cqa_analysis::{DiagCode, Diagnostic};
 use cqa_constraints::ConstraintSet;
 use cqa_exec::{Budget, Outcome};
+use cqa_query::UnionQuery;
 use cqa_relation::{Database, RelationError, Tid, Tuple, Value};
 use std::sync::Arc;
+
+/// Certain answers over S-repairs through [`answer`], cold, on a copy of
+/// `db`.
+pub fn answer_consistently_budgeted(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    budget: &Budget,
+) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    let base = Arc::new(db.clone());
+    answer(&base, sigma, None, &Request::certain(query), budget)
+}
+
+/// Certain answers over S-repairs through [`answer`], on a copy of `db`,
+/// against a warm [`IncrementalState`]. The state is refreshed first under
+/// `budget` (incrementally when the change log permits, from scratch
+/// otherwise), and the refresh decision is reported as the A007
+/// `incremental-maintenance` diagnostic.
+pub fn answer_consistently_incremental(
+    db: &Database,
+    sigma: &ConstraintSet,
+    query: &UnionQuery,
+    state: &mut IncrementalState,
+    budget: &Budget,
+) -> Result<Outcome<PlannedAnswer>, RelationError> {
+    let decision = state.refresh_budgeted(db, sigma, budget)?;
+    let a007 = Diagnostic::new(DiagCode::IncrementalMaintenance, decision.describe());
+    let base = Arc::new(db.clone());
+    let out = answer(&base, sigma, Some(state), &Request::certain(query), budget)?;
+    Ok(out.map(|mut planned| {
+        planned.diagnostics.push(a007);
+        planned
+    }))
+}
 
 /// One tenant's loaded instance plus warm CQA artifacts. See the module
 /// docs for the maintenance and budget discipline.
 #[derive(Debug, Clone)]
 pub struct CqaSession {
-    /// The instance. `Arc` so repair enumeration shares the base without
-    /// cloning; mutations go through [`Arc::make_mut`], which is a no-op
-    /// while no enumeration borrow is alive (the session serializes its
-    /// callers, so that is the steady state).
+    /// The instance. `Arc` so repair enumeration and the factored fold
+    /// share the base without cloning; mutations go through
+    /// [`Arc::make_mut`], which is a no-op while no enumeration borrow is
+    /// alive (a writer excludes the readers, so that is the steady state).
     db: Arc<Database>,
     sigma: ConstraintSet,
     /// Delta-maintained conflict state; `None` when Σ is not denial-class
@@ -98,11 +136,11 @@ impl CqaSession {
         }
     }
 
-    /// Number of maintained violation sets (denial-class Σ only; `None`
-    /// when the state is cold or Σ has tgds).
+    /// Number of minimal violation sets — the conflict hyper-graph's edges
+    /// (denial-class Σ only; `None` when the state is cold or Σ has tgds).
     pub fn violation_count(&self) -> Option<usize> {
         match &self.state {
-            Some(state) if state.epoch() == self.db.epoch() => Some(state.violations().len()),
+            Some(state) if state.epoch() == self.db.epoch() => Some(state.graph().edge_count()),
             _ => None,
         }
     }
@@ -163,16 +201,11 @@ impl CqaSession {
     /// the warm maintained hyper-graph when available. Byte-identical to
     /// the cold route on the same instance and budget.
     pub fn answer(
-        &mut self,
+        &self,
         request: &Request<'_>,
         budget: &Budget,
     ) -> Result<Outcome<PlannedAnswer>, RelationError> {
-        if let Some(state) = &mut self.state {
-            // Query-time refresh is unbudgeted (see module docs), so the
-            // request budget meters exactly the planning work.
-            state.refresh(&self.db, &self.sigma)?;
-        }
-        answer(&self.db, &self.sigma, self.state.as_mut(), request, budget)
+        answer(&self.db, &self.sigma, self.state.as_ref(), request, budget)
     }
 
     /// Enumerate delta repairs of the session's instance through
@@ -211,7 +244,7 @@ mod tests {
     use cqa_query::parse_query;
     use cqa_relation::{tuple, RelationSchema};
 
-    fn employee_session() -> CqaSession {
+    fn employee() -> (Database, ConstraintSet) {
         let mut db = Database::new();
         db.create_relation(RelationSchema::new("Employee", ["Name", "Salary"]))
             .unwrap();
@@ -219,7 +252,52 @@ mod tests {
         db.insert("Employee", tuple!["page", 8000]).unwrap();
         db.insert("Employee", tuple!["smith", 3000]).unwrap();
         let sigma = ConstraintSet::from_iter([KeyConstraint::new("Employee", ["Name"])]);
+        (db, sigma)
+    }
+
+    fn employee_session() -> CqaSession {
+        let (db, sigma) = employee();
         CqaSession::new(db, sigma).unwrap()
+    }
+
+    #[test]
+    fn incremental_planner_matches_batch_and_reports_a007() {
+        let (mut db, sigma) = employee();
+        let mut state = IncrementalState::new(&db, &sigma).unwrap();
+        let q = cqa_query::parse_ucq("Q(x) :- Employee(x, y)\nQ(x) :- Employee(x, 3000)").unwrap();
+        // Mutate: a second conflicting name group appears.
+        db.insert("Employee", tuple!["smith", 3500]).unwrap();
+        let budget = Budget::unlimited();
+        let incr = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
+            .unwrap()
+            .into_value();
+        let batch = answer_consistently_budgeted(&db, &sigma, &q, &budget)
+            .unwrap()
+            .into_value();
+        assert_eq!(incr.answers, batch.answers);
+        assert_eq!(incr.strategy, batch.strategy);
+        let a007 = incr
+            .diagnostics
+            .iter()
+            .find(|d| d.code == DiagCode::IncrementalMaintenance)
+            .expect("A007 diagnostic");
+        assert!(a007.message.contains("incrementally"), "{}", a007.message);
+        // A second call with no new mutations reports a fresh cache.
+        let again = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
+            .unwrap()
+            .into_value();
+        assert_eq!(again.answers, batch.answers);
+        assert!(again
+            .diagnostics
+            .iter()
+            .any(|d| d.code == DiagCode::IncrementalMaintenance && d.message.contains("current")));
+        // Consistent after removing the conflicts: direct evaluation.
+        db.delete(cqa_relation::Tid(2)).unwrap();
+        db.delete(cqa_relation::Tid(4)).unwrap();
+        let direct = answer_consistently_incremental(&db, &sigma, &q, &mut state, &budget)
+            .unwrap()
+            .into_value();
+        assert_eq!(direct.strategy, crate::planner::Strategy::DirectEvaluation);
     }
 
     #[test]
@@ -240,14 +318,9 @@ mod tests {
             .answer(&Request::certain(&q), &budget)
             .unwrap()
             .into_value();
-        let cold = crate::planner::answer_consistently_budgeted(
-            session.db(),
-            session.sigma(),
-            &q,
-            &budget,
-        )
-        .unwrap()
-        .into_value();
+        let cold = answer_consistently_budgeted(session.db(), session.sigma(), &q, &budget)
+            .unwrap()
+            .into_value();
         assert_eq!(warm.answers, cold.answers);
         assert_eq!(warm.strategy, cold.strategy);
         // Delete the new tuple: back to one violation.
@@ -280,7 +353,7 @@ mod tests {
         // Same step budget, warm vs cold: identical truncation outcome and
         // identical (sound) answers — the facade must not consume budget
         // before planning.
-        let mut session = CqaSession::from_text(
+        let session = CqaSession::from_text(
             "@relation T(K, V)\n1, 1\n1, 2\n2, 1\n2, 2\n3, 1\n3, 2\n",
             "dc T(x, y), T(x, z), y != z\n",
         )
@@ -290,7 +363,7 @@ mod tests {
             let warm = session
                 .answer(&Request::certain(&q), &Budget::steps(steps))
                 .unwrap();
-            let cold = crate::planner::answer_consistently_budgeted(
+            let cold = answer_consistently_budgeted(
                 session.db(),
                 session.sigma(),
                 &q,

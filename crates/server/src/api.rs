@@ -12,7 +12,7 @@
 use crate::http::Request;
 use crate::json::{parse, Json};
 use crate::server::ServerState;
-use crate::sessions::write_lock;
+use crate::sessions::{read_lock, write_lock, SessionSlot};
 use crate::wire::{
     budget_from_body, int_json, strategy_tag, strings_json, truncation_json, tuple_from_json,
     value_from_json,
@@ -82,14 +82,20 @@ pub fn handle(
         ("POST", ["sessions", id, verb @ ("mutate" | "query" | "repairs" | "causes")]) => {
             let verb = *verb;
             with_body(req, |body| {
-                with_session(state, id, |session| {
-                    let budget = budget_from_body(body, &state.budget_policy());
-                    *write_lock(cancel_slot) = Some(budget.cancel_token());
+                with_slot(state, id, |slot| {
+                    // Reads share the session; only a mutation excludes
+                    // them. Arguments evaluate left to right, so the budget
+                    // (deadline included) starts once the lock is held.
+                    let budget = || {
+                        let budget = budget_from_body(body, &state.budget_policy());
+                        *write_lock(cancel_slot) = Some(budget.cancel_token());
+                        budget
+                    };
                     match verb {
-                        "mutate" => mutate(session, body, &budget),
-                        "query" => query(session, body, &budget),
-                        "repairs" => repairs(session, body, &budget),
-                        _ => causes(session, body, &budget),
+                        "mutate" => mutate(&mut write_lock(slot), body, &budget()),
+                        "query" => query(&read_lock(slot), body, &budget()),
+                        "repairs" => repairs(&read_lock(slot), body, &budget()),
+                        _ => causes(&read_lock(slot), body, &budget()),
                     }
                 })
             })
@@ -120,16 +126,14 @@ fn with_body(req: &Request, f: impl FnOnce(&Json) -> Reply) -> Reply {
     f(&body)
 }
 
-fn with_session(state: &ServerState, id: &str, f: impl FnOnce(&mut CqaSession) -> Reply) -> Reply {
+fn with_slot(state: &ServerState, id: &str, f: impl FnOnce(&SessionSlot) -> Reply) -> Reply {
     let Ok(id) = id.parse::<u64>() else {
         return Reply::error(400, format!("session id must be an integer, got `{id}`"));
     };
     let Some(slot) = state.sessions.get(id) else {
         return Reply::error(404, format!("no session {id}"));
     };
-    // Uniform write lock: even "read" requests refresh the warm state.
-    let mut session = write_lock(&slot);
-    f(&mut session)
+    f(&slot)
 }
 
 fn health(state: &ServerState) -> Reply {
@@ -200,7 +204,7 @@ fn list_sessions(state: &ServerState) -> Reply {
     let mut rows = Vec::new();
     for id in state.sessions.ids() {
         if let Some(slot) = state.sessions.get(id) {
-            let session = crate::sessions::read_lock(&slot);
+            let session = read_lock(&slot);
             rows.push(Json::obj([
                 ("session", int_json(id)),
                 ("epoch", int_json(session.epoch())),
@@ -342,7 +346,7 @@ fn parse_class(body: &Json) -> Result<RepairClass, Reply> {
     }
 }
 
-fn query(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
+fn query(session: &CqaSession, body: &Json, budget: &Budget) -> Reply {
     let query = match parse_union_query(body) {
         Ok(q) => q,
         Err(reply) => return reply,
@@ -385,7 +389,7 @@ fn query(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
     Reply::ok(Json::Object(pairs))
 }
 
-fn repairs(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
+fn repairs(session: &CqaSession, body: &Json, budget: &Budget) -> Reply {
     let class = match parse_class(body) {
         Ok(c) => c,
         Err(reply) => return reply,
@@ -421,7 +425,7 @@ fn repairs(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
     Reply::ok(Json::Object(pairs))
 }
 
-fn causes(session: &mut CqaSession, body: &Json, budget: &Budget) -> Reply {
+fn causes(session: &CqaSession, body: &Json, budget: &Budget) -> Reply {
     let query = match parse_union_query(body) {
         Ok(q) => q,
         Err(reply) => return reply,

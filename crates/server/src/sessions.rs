@@ -2,10 +2,10 @@
 //!
 //! Each session is one tenant's [`CqaSession`] — a loaded instance plus its
 //! warm CQA artifacts — behind its own `RwLock`, so requests against
-//! *different* sessions run fully in parallel while requests against the
-//! same session serialize (mutations take the write lock, read-only queries
-//! could share the read lock; the handlers take write uniformly because
-//! even queries refresh the maintained state).
+//! *different* sessions run fully in parallel. On one session, queries,
+//! repairs and causes share the read lock (reads never touch the warm
+//! state), and a mutation takes the write lock, maintaining the state
+//! before it releases it.
 //!
 //! The table itself is a `RwLock<BTreeMap>` — ordered, so `GET /sessions`
 //! listings are deterministic — with a hard capacity: when full, creation

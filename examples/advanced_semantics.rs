@@ -57,7 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- Strategy planner ---------------------------------------------------
     let planned = answer(
-        &db,
+        &std::sync::Arc::new(db.clone()),
         &sigma,
         None,
         &Request::certain(&q_names),

@@ -199,11 +199,12 @@ proptest! {
                     let request = Request { query: q, kind, class };
                     for threads in [1, 4] {
                         let (cold, warm) = with_threads(threads, || {
-                            let mut state = IncrementalState::new(db, sigma).unwrap();
+                            let state = IncrementalState::new(db, sigma).unwrap();
+                            let base = Arc::new(db.clone());
                             let budget = Budget::unlimited();
                             (
-                                answer(db, sigma, None, &request, &budget).unwrap(),
-                                answer(db, sigma, Some(&mut state), &request, &budget).unwrap(),
+                                answer(&base, sigma, None, &request, &budget).unwrap(),
+                                answer(&base, sigma, Some(&state), &request, &budget).unwrap(),
                             )
                         });
                         prop_assert!(cold.is_exact() && warm.is_exact());

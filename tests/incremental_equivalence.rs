@@ -2,23 +2,24 @@
 //!
 //! The contract under test: after ANY sequence of inserts, deletes and
 //! in-place updates, a delta-maintained [`IncrementalState`] is
-//! **byte-identical** to recompute-from-scratch — same violation sets, same
-//! canonical hyper-graph edge order, same component factorization and
-//! frozen core — and the incremental planner returns the same consistent
-//! answers as the batch planner. This must hold at any thread count and
+//! **byte-identical** to recompute-from-scratch — same canonical hyper-graph
+//! edges in the same order, same component factorization and frozen core —
+//! and the incremental planner returns the same consistent answers as the
+//! batch planner, while the one CQA route never trusts a stale state. This must hold at any thread count and
 //! under arbitrary step budgets (a budget that latches mid-delta falls back
 //! to a full recompute, never to truncated state).
 
 use cqa_constraints::{Constraint, ConstraintSet, DenialConstraint, KeyConstraint};
 use cqa_core::{
-    answer_consistently_budgeted, answer_consistently_incremental, IncrementalState,
-    MaintenanceDecision,
+    answer, answer_consistently_budgeted, answer_consistently_incremental, AnswerKind,
+    IncrementalState, MaintenanceDecision, RepairClass, Request,
 };
 use cqa_exec::{with_threads, Budget};
 use cqa_relation::{tuple, Database, RelationSchema, Tid, Value};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One random mutation. Tid-valued operations select from the instance's
 /// live tids by index so delete/update stay meaningful as the instance
@@ -78,7 +79,6 @@ fn initial() -> (Database, ConstraintSet) {
 /// Maintained state must equal a from-scratch build, byte for byte.
 fn assert_identical(state: &IncrementalState, db: &Database, sigma: &ConstraintSet) {
     let scratch = IncrementalState::new(db, sigma).unwrap();
-    assert_eq!(state.violations(), scratch.violations());
     assert!(
         state.graph() == scratch.graph(),
         "maintained graph diverged from scratch:\n  maintained: {:?}\n  scratch: {:?}",
@@ -94,7 +94,7 @@ proptest! {
 
     /// Random mutation batches, refreshed under a random step budget, at 1
     /// and 4 threads: maintained state ≡ scratch after every refresh, and
-    /// the full run (violations + decisions + answers) is thread-invariant.
+    /// the full run (graph + decisions + answers) is thread-invariant.
     #[test]
     fn incremental_state_matches_scratch_under_mutations(
         batches in vec(vec(arb_op(), 1..5), 1..7),
@@ -114,7 +114,7 @@ proptest! {
                     let decision = state.refresh_budgeted(&db, &sigma, &budget).unwrap().clone();
                     // Byte-identity against recompute-from-scratch, every step.
                     assert_identical(&state, &db, &sigma);
-                    trace.push((state.violations().clone(), decision));
+                    trace.push((state.graph().clone(), decision));
                 }
                 trace
             })
@@ -122,7 +122,7 @@ proptest! {
         prop_assert_eq!(run(1), run(4));
 
         // The incremental planner agrees with the batch planner on the
-        // final instance (exercising the planner's own refresh path).
+        // final instance (exercising the shim's own refresh path).
         let answers = |threads: usize| {
             with_threads(threads, || {
                 let (mut db, sigma) = initial();
@@ -215,6 +215,56 @@ fn violations_are_canonical_sets() {
     let (mut db, sigma) = initial();
     db.insert("T", tuple![0, 5]).unwrap();
     let state = IncrementalState::new(&db, &sigma).unwrap();
-    let expect: BTreeSet<BTreeSet<Tid>> = [[Tid(1), Tid(4)].into()].into();
-    assert_eq!(state.violations(), &expect);
+    let expect: Vec<BTreeSet<Tid>> = vec![[Tid(1), Tid(4)].into()];
+    assert_eq!(state.graph().edges, expect);
+}
+
+/// A state behind the instance's epoch is never trusted: `answer` with the
+/// stale state takes the cold route, so answers, strategy and truncation
+/// equal the cold call's, unbudgeted and at every small step budget. Each
+/// scenario changes what the stale graph would claim — consistency, or the
+/// component split the factored fold would run over.
+#[test]
+fn stale_warm_state_is_never_trusted() {
+    let query = cqa_query::parse_ucq("Q(k, v) :- T(k, v)").unwrap();
+    let scenarios: [(&[Op], &[Op]); 3] = [
+        // Consistent when the state was built; two conflicting keys after.
+        (&[], &[Op::Insert(0, 5), Op::Insert(1, 7)]),
+        // Two components when built; one resolved, a big value added.
+        (
+            &[Op::Insert(0, 5), Op::Insert(1, 7)],
+            &[Op::Delete(3), Op::Insert(2, 11)],
+        ),
+        // Conflicting when built; every conflict resolved after.
+        (&[Op::Insert(0, 5)], &[Op::Delete(0)]),
+    ];
+    for (before, after) in scenarios {
+        let (mut db, sigma) = initial();
+        for op in before {
+            apply(&mut db, op);
+        }
+        let state = IncrementalState::new(&db, &sigma).unwrap();
+        for op in after {
+            apply(&mut db, op);
+        }
+        assert_ne!(state.epoch(), db.epoch(), "the state must be stale");
+        let base = Arc::new(db);
+        for kind in [AnswerKind::Certain, AnswerKind::Possible] {
+            let request = Request {
+                query: &query,
+                kind,
+                class: RepairClass::Subset,
+            };
+            for steps in std::iter::once(None).chain((1..=8).map(Some)) {
+                let run = |warm: Option<&IncrementalState>| {
+                    let budget = steps.map_or_else(Budget::unlimited, Budget::steps);
+                    let out = answer(&base, &sigma, warm, &request, &budget).unwrap();
+                    let truncation = out.truncation();
+                    let planned = out.into_value();
+                    (truncation, planned.strategy, planned.answers)
+                };
+                assert_eq!(run(Some(&state)), run(None), "{kind:?} at {steps:?} steps");
+            }
+        }
+    }
 }

@@ -231,12 +231,13 @@ proptest! {
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(&a, &c);
         // The CQA route, on its rewriting and factored-fold strategies.
+        let base = std::sync::Arc::new(db.clone());
         for kind in [cqa_core::AnswerKind::Certain, cqa_core::AnswerKind::Possible] {
             for class in [cqa_core::RepairClass::Subset, cqa_core::RepairClass::Cardinality] {
                 let request = cqa_core::Request { query: &q, kind, class };
                 let [a, b, c] = at_thread_counts(|| {
                     let budget = Budget::steps(steps);
-                    let out = cqa_core::answer(&db, &sigma, None, &request, &budget).unwrap();
+                    let out = cqa_core::answer(&base, &sigma, None, &request, &budget).unwrap();
                     (out.truncation(), out.into_value().answers)
                 });
                 prop_assert_eq!(&a, &b);

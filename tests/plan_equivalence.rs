@@ -139,6 +139,7 @@ proptest! {
         );
         prop_assert_eq!(off.into_value(), on.into_value(), "budgeted answers drifted");
         // The CQA route, on its rewriting and factored-fold strategies.
+        let base = std::sync::Arc::new(db.clone());
         for kind in [AnswerKind::Certain, AnswerKind::Possible] {
             for class in [RepairClass::Subset, RepairClass::Cardinality] {
                 let request = Request { query: &query, kind, class };
@@ -146,7 +147,7 @@ proptest! {
                     reset_plan_cache();
                     with_plan_cache(cache_on, || {
                         let budget = Budget::steps(steps);
-                        let out = answer(&db, &sigma, None, &request, &budget).unwrap();
+                        let out = answer(&base, &sigma, None, &request, &budget).unwrap();
                         (out.truncation(), out.into_value().answers)
                     })
                 };

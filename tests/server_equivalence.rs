@@ -7,17 +7,25 @@
 //! identical** to calling the request handler directly in-process, at 1
 //! worker thread and at 4, *including* deterministic step-budget
 //! truncation. Sessions are independent tenants, so concurrent client
-//! threads must not perturb any individual session's transcript.
+//! threads must not perturb any individual session's transcript. Within one
+//! shared session, concurrent readers and a writer must produce a history
+//! that some sequential replay explains (linearizability).
 
 use cqa_exec::{with_threads, AdmissionGate, CancelToken, ServiceGroup};
 use cqa_server::{api, start, Request, ServerConfig, ServerState, SessionStore};
 use proptest::collection::vec;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::RwLock;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, RwLock};
 
 const DB: &str = "@relation T(K, V)\n0, 1\n0, 2\n1, 1\n2, 5\n";
+/// Two conflicting keys, so the warm hyper-graph has two components from
+/// the start and C-repair queries fold over it.
+const SHARED_DB: &str = "@relation T(K, V)\n0, 1\n0, 2\n1, 1\n1, 3\n2, 5\n";
 const SIGMA: &str = "key T(K)\n";
 
 /// One random request against a session. Tids are raw numbers: the
@@ -28,9 +36,18 @@ const SIGMA: &str = "key T(K)\n";
 enum Op {
     Insert(i64, i64),
     Delete(u64),
-    Certain { steps: u64 },
+    Certain {
+        steps: u64,
+    },
+    /// Certain rows `Q(x, y)` over C-repairs: changes whenever a conflict
+    /// appears or goes, and folds over the session's warm hyper-graph once
+    /// it has two components.
+    Rows,
     Possible,
-    Repairs { cardinality: bool, steps: u64 },
+    Repairs {
+        cardinality: bool,
+        steps: u64,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
@@ -61,6 +78,10 @@ fn render(op: &Op, id: u64) -> (String, String) {
             format!("/sessions/{id}/query"),
             format!(r#"{{"query": "Q(x) :- T(x, y)", "budget_steps": {steps}}}"#),
         ),
+        Op::Rows => (
+            format!("/sessions/{id}/query"),
+            r#"{"query": "Q(x, y) :- T(x, y)", "class": "cardinality"}"#.to_string(),
+        ),
         Op::Possible => (
             format!("/sessions/{id}/query"),
             r#"{"query": "Q(x) :- T(x, y)", "kind": "possible"}"#.to_string(),
@@ -79,16 +100,16 @@ fn render(op: &Op, id: u64) -> (String, String) {
     }
 }
 
-fn create_body() -> String {
+fn create_body(db: &str) -> String {
     format!(
         "{{\"db\": {}, \"constraints\": {}}}",
-        cqa_server::Json::str(DB),
+        cqa_server::Json::str(db),
         cqa_server::Json::str(SIGMA)
     )
 }
 
 /// The library path: `api::handle` called directly, no sockets.
-fn run_direct(sessions: &[Vec<Op>]) -> Vec<Vec<String>> {
+fn run_direct(db: &str, sessions: &[Vec<Op>]) -> Vec<Vec<String>> {
     let state = ServerState {
         config: ServerConfig::default(),
         sessions: SessionStore::new(64),
@@ -108,7 +129,7 @@ fn run_direct(sessions: &[Vec<Op>]) -> Vec<Vec<String>> {
     };
     let mut transcripts = Vec::new();
     for (i, ops) in sessions.iter().enumerate() {
-        let mut t = vec![call("POST", "/sessions", &create_body())];
+        let mut t = vec![call("POST", "/sessions", &create_body(db))];
         let id = i as u64 + 1;
         for op in ops {
             let (path, body) = render(op, id);
@@ -166,7 +187,7 @@ fn run_server(sessions: &[Vec<Op>]) -> Vec<Vec<String>> {
     let mut transcripts: Vec<Vec<String>> = Vec::new();
     for _ in sessions {
         let mut stream = TcpStream::connect(addr).expect("connect");
-        send(&mut stream, "POST", "/sessions", &create_body());
+        send(&mut stream, "POST", "/sessions", &create_body(DB));
         let (status, body) = read_reply(&mut BufReader::new(stream));
         transcripts.push(vec![format!("{status} {body}")]);
     }
@@ -208,7 +229,7 @@ proptest! {
     fn server_transcripts_match_library_path(
         sessions in vec(vec(arb_op(), 1..8), 1..4),
     ) {
-        let direct = with_threads(1, || run_direct(&sessions));
+        let direct = with_threads(1, || run_direct(DB, &sessions));
         let serial = with_threads(1, || run_server(&sessions));
         prop_assert_eq!(&direct, &serial, "TCP framing changed a reply");
         let concurrent = with_threads(4, || run_server(&sessions));
@@ -231,9 +252,132 @@ fn step_truncation_is_byte_identical_over_the_wire() {
             steps: 3,
         },
     ]];
-    let direct = with_threads(1, || run_direct(&ops));
+    let direct = with_threads(1, || run_direct(DB, &ops));
     let over_wire = with_threads(4, || run_server(&ops));
     assert_eq!(direct, over_wire);
     let flat = direct.concat().join("\n");
     assert!(flat.contains("truncated"), "expected a truncation: {flat}");
+}
+
+/// A seeded writer script: inserts over a few keys (conflicts appear) and
+/// deletes of low tids (conflicts go, or a 400 for a dead tid).
+fn writer_ops(seed: u64, n: usize) -> Vec<Op> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(0.3) {
+                Op::Delete(rng.gen_range(1..12))
+            } else {
+                Op::Insert(rng.gen_range(0..4), rng.gen_range(0..6))
+            }
+        })
+        .collect()
+}
+
+/// One shared session over TCP: client 0 applies `writes` while clients
+/// 1–3 repeat [`Op::Rows`] until the writer is done. Returns the writer's
+/// replies and each reader's replies, in order; each reader's last read
+/// starts after the writer's last reply arrived.
+fn run_shared(writes: &[Op]) -> (Vec<String>, Vec<Vec<String>>) {
+    let handle = start(ServerConfig::default()).expect("start");
+    let addr = handle.addr();
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    send(&mut stream, "POST", "/sessions", &create_body(SHARED_DB));
+    assert_eq!(read_reply(&mut BufReader::new(stream)).0, 200);
+    // `done` is stored with Release after the writer's last reply and
+    // loaded with Acquire by the readers: a reader that sees it set issues
+    // its next read after every write was answered.
+    let done = Arc::new(AtomicBool::new(false));
+    let start = Arc::new(Barrier::new(4));
+    let (tx, rx) = std::sync::mpsc::channel::<(usize, Vec<String>)>();
+    let mut clients = ServiceGroup::new();
+    for client in 0..4 {
+        let writes = writes.to_vec();
+        let (tx, done, start) = (tx.clone(), Arc::clone(&done), Arc::clone(&start));
+        let spawned = clients.spawn("linearizability-client", move || {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            // Every client is connected before the first request is sent.
+            start.wait();
+            let mut round_trip = |op: &Op| {
+                let (path, body) = render(op, 1);
+                send(&mut stream, "POST", &path, &body);
+                let (status, body) = read_reply(&mut reader);
+                format!("{status} {body}")
+            };
+            let mut replies = Vec::new();
+            if client == 0 {
+                replies.extend(writes.iter().map(&mut round_trip));
+                done.store(true, Ordering::Release);
+            } else {
+                // At least a few reads; the cap ends the loop if the writer
+                // died (the history check then fails on its replies).
+                while replies.len() < 5 || (!done.load(Ordering::Acquire) && replies.len() < 10_000)
+                {
+                    replies.push(round_trip(&Op::Rows));
+                }
+                // This read starts after the last write was answered.
+                replies.push(round_trip(&Op::Rows));
+            }
+            tx.send((client, replies)).expect("collector alive");
+        });
+        assert!(spawned, "could not spawn a client thread");
+    }
+    drop(tx);
+    assert!(clients.join_all().is_empty(), "a client thread panicked");
+    let mut by_client = vec![Vec::new(); 4];
+    for (client, replies) in rx {
+        by_client[client] = replies;
+    }
+    handle.shutdown();
+    handle.join();
+    let writer = by_client.remove(0);
+    (writer, by_client)
+}
+
+/// Linearizability of one shared session: the writer's replies equal the
+/// sequential library replay, and every read equals the library's answer
+/// after some prefix of the writes, with each reader's prefixes
+/// non-decreasing and a read issued after the last write seeing all of
+/// them (reads share the session's read lock; a mutation holds
+/// the write lock until the warm state is maintained).
+#[test]
+fn shared_session_histories_are_linearizable() {
+    for seed in 1..=3 {
+        let writes = writer_ops(seed, 16);
+        // Library replay: a read before the first write and after each one.
+        let mut history = vec![Op::Rows];
+        for w in &writes {
+            history.extend([w.clone(), Op::Rows]);
+        }
+        let replay = with_threads(1, || run_direct(SHARED_DB, &[history])).remove(0);
+        let mutates: Vec<&String> = replay[2..].iter().step_by(2).collect();
+        let prefixes: Vec<&String> = replay[1..].iter().step_by(2).collect();
+        for threads in [1, 4] {
+            let (writer, readers) = with_threads(threads, || run_shared(&writes));
+            let writer: Vec<&String> = writer.iter().collect();
+            assert_eq!(
+                writer, mutates,
+                "seed {seed}, {threads} threads: a write drifted"
+            );
+            for (r, replies) in readers.iter().enumerate() {
+                let mut at = 0;
+                for reply in replies {
+                    at = (at..prefixes.len())
+                        .find(|&k| prefixes[k] == reply)
+                        .unwrap_or_else(|| {
+                            panic!(
+                                "seed {seed}, {threads} threads, reader {r}: {reply} \
+                                 matches no prefix at or after {at}"
+                            )
+                        });
+                }
+                assert_eq!(
+                    replies.last(),
+                    prefixes.last().copied(),
+                    "seed {seed}, reader {r}: a late read missed a write"
+                );
+            }
+        }
+    }
 }
