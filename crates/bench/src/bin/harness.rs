@@ -438,31 +438,58 @@ fn f1_repair_explosion() {
 }
 
 fn f2_rewriting_vs_enumeration() {
+    use cqa_core::rewrite::keys::{KeyPlan, KeyPositions};
+    // Above these sizes the interpreted rewriting (quadratic: every atom
+    // test scans the relation) and the 2^k-repair fold take minutes.
+    const INTERPRETED_MAX: usize = 10_000;
+    const ENUMERATION_MAX: usize = 500;
     println!("F2: FO rewriting vs repair enumeration (§3.2)");
     println!("---------------------------------------------");
-    println!("  conflicts | rewriting (ms) | enumeration (ms) | equal");
+    println!(
+        "    clean | conflicts | compiled (ms) | interpreted (ms) | eval_ucq (ms) | \
+         enumeration (ms) | equal"
+    );
     let q = parse_query("Q(k, v) :- T(k, v)").unwrap();
-    let keys: cqa_core::rewrite::keys::KeyPositions = [("T".to_string(), vec![0usize])].into();
-    for k in [2usize, 4, 6, 8, 10, 12] {
-        let (db, sigma) = key_conflict_instance(500, k, 2, 2);
-        let fo = cqa_core::rewrite_key_query(&q, &keys).unwrap();
-        let (via_rw, t_rw) = timed(|| cqa_query::eval_fo(&db, &fo, NullSemantics::Structural));
-        let (via_rep, t_rep) = timed(|| {
-            cqa_core::consistent_answers(
-                &db,
-                &sigma,
-                &UnionQuery::single(q.clone()),
-                &RepairClass::Subset,
-            )
-            .unwrap()
+    let ucq = UnionQuery::single(q.clone());
+    let keys: KeyPositions = [("T".to_string(), vec![0usize])].into();
+    let plan = KeyPlan::compile(&q, &keys).unwrap();
+    let fo = cqa_core::rewrite_key_query(&q, &keys).unwrap();
+    let sizes = [2usize, 4, 6, 8, 10, 12]
+        .map(|k| (500, k))
+        .into_iter()
+        .chain([(10_000, 12), (100_000, 12)]);
+    let ms = |run: &Option<(std::collections::BTreeSet<cqa_relation::Tuple>, f64)>| match run {
+        Some((_, secs)) => format!("{:.2}", secs * 1e3),
+        None => "skipped".to_string(),
+    };
+    for (clean, k) in sizes {
+        let (db, sigma) = key_conflict_instance(clean, k, 2, 2);
+        let (compiled, t_compiled) = timed(|| plan.certain_answers(&db).unwrap().answers);
+        let (_, t_ucq) = timed(|| cqa_query::eval_ucq(&db, &ucq, NullSemantics::Structural));
+        let interpreted = (clean <= INTERPRETED_MAX)
+            .then(|| timed(|| cqa_query::eval_fo(&db, &fo, NullSemantics::Structural)));
+        let enumeration = (clean <= ENUMERATION_MAX).then(|| {
+            timed(|| cqa_core::consistent_answers(&db, &sigma, &ucq, &RepairClass::Subset).unwrap())
         });
+        let equal = [&interpreted, &enumeration]
+            .iter()
+            .all(|run| run.as_ref().is_none_or(|(answers, _)| *answers == compiled));
+        assert!(
+            equal,
+            "F2: compiled answers differ at {clean} clean, k = {k}"
+        );
         println!(
-            "  {k:>9} | {:>14.2} | {:>16.2} | {}",
-            t_rw * 1e3,
-            t_rep * 1e3,
-            via_rw == via_rep
+            "  {clean:>7} | {k:>9} | {:>13.2} | {:>16} | {:>13.2} | {:>16} | {equal}",
+            t_compiled * 1e3,
+            ms(&interpreted),
+            t_ucq * 1e3,
+            ms(&enumeration),
         );
     }
+    println!(
+        "  skipped: the interpreted rewriting above {INTERPRETED_MAX} clean tuples and the \
+         enumeration above {ENUMERATION_MAX} (minutes per row)"
+    );
     println!();
 }
 

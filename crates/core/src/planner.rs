@@ -7,8 +7,9 @@
 //!    and class — a consistent instance is its own only repair;
 //! 2. **FO rewriting** (attack graph) for certain answers over S-repairs
 //!    when Σ is a set of primary keys and the query is a self-join-free CQ
-//!    with an acyclic attack graph — evaluated directly on the
-//!    inconsistent instance, no repairs;
+//!    with an acyclic attack graph — compiled to index probes
+//!    ([`KeyPlan`]) and evaluated directly on the inconsistent instance, no
+//!    repairs. It declines, with a reason, when it reads a null;
 //! 3. **factored enumeration** for denial-class Σ with at least two
 //!    conflict components (any class but attribute-null), in the requested
 //!    kind;
@@ -22,11 +23,11 @@ use crate::cqa::{
 };
 use crate::delta::IncrementalState;
 use crate::factored::Factorization;
-use crate::rewrite::keys::{rewrite_key_query, KeyPositions, KeyRewriteError};
+use crate::rewrite::keys::{KeyPlan, KeyPositions, KeyRewriteError};
 use cqa_analysis::{lint_constraints, lint_query, DiagCode, Diagnostic};
 use cqa_constraints::{Constraint, ConstraintSet};
 use cqa_exec::{Budget, Outcome};
-use cqa_query::{eval_fo, NullSemantics, UnionQuery};
+use cqa_query::{NullSemantics, UnionQuery};
 use cqa_relation::{Database, RelationError, Tuple};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -170,14 +171,19 @@ pub fn answer(
     let reason = match (request.kind, request.class, keys_only(db, sigma)) {
         (AnswerKind::Possible, ..) => "possible answers are folded over the repair family".into(),
         (AnswerKind::Certain, RepairClass::Subset, Some(keys)) => match &query.disjuncts[..] {
-            [cq] => match rewrite_key_query(cq, &keys) {
-                Ok(fo) => {
-                    return Ok(Outcome::Exact(PlannedAnswer {
-                        answers: eval_fo(db, &fo, NullSemantics::Structural),
-                        strategy: Strategy::FoRewriting,
-                        diagnostics,
-                    }));
-                }
+            [cq] => match KeyPlan::compile(cq, &keys) {
+                Ok(plan) => match plan.certain_answers(db) {
+                    Some(run) => {
+                        return Ok(Outcome::Exact(PlannedAnswer {
+                            answers: run.answers,
+                            strategy: Strategy::FoRewriting,
+                            diagnostics,
+                        }));
+                    }
+                    None => "the rewriting read a null; nulls never join under SQL \
+                             semantics, which the repair fold applies"
+                        .into(),
+                },
                 Err(KeyRewriteError::CyclicAttackGraph { witness }) => format!(
                     "attack graph cyclic at atoms {} and {}: CQA is coNP-complete",
                     witness.0, witness.1
@@ -316,7 +322,7 @@ mod tests {
     use crate::session::answer_consistently_budgeted;
     use cqa_constraints::{DenialConstraint, KeyConstraint};
     use cqa_query::parse_query;
-    use cqa_relation::{tuple, RelationSchema};
+    use cqa_relation::{tuple, RelationSchema, Value};
 
     fn employee() -> (Database, ConstraintSet) {
         let mut db = Database::new();
@@ -347,6 +353,71 @@ mod tests {
         let reference =
             crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
         assert_eq!(planned.answers, reference);
+    }
+
+    /// Rule 2 used to project on the head variables only, dropping the
+    /// head constants.
+    #[test]
+    fn rewriting_keeps_head_constants() {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("T", ["K", "V"]))
+            .unwrap();
+        db.insert("T", tuple![1, 10]).unwrap();
+        db.insert("T", tuple![2, 20]).unwrap();
+        db.insert("T", tuple![2, 21]).unwrap();
+        let sigma = ConstraintSet::from_iter([KeyConstraint::new("T", ["K"])]);
+        for (text, expected) in [
+            ("Q(x, 7) :- T(x, y)", vec![tuple![1, 7], tuple![2, 7]]),
+            ("Q(7) :- T(x, y)", vec![tuple![7]]),
+        ] {
+            let q = UnionQuery::single(parse_query(text).unwrap());
+            let planned = planned(&db, &sigma, &q);
+            assert_eq!(planned.strategy, Strategy::FoRewriting, "{text}");
+            let expected: BTreeSet<Tuple> = expected.into_iter().collect();
+            assert_eq!(planned.answers, expected, "{text}");
+            let reference =
+                crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
+            assert_eq!(planned.answers, reference, "{text}");
+        }
+    }
+
+    /// Rule 2 used to join nulls as plain constants, while the reference
+    /// gives them SQL semantics. Requests that read a null now fall through
+    /// to the folds, with a reason.
+    #[test]
+    fn rewriting_declines_nulls_and_matches_the_reference() {
+        let mut db = Database::new();
+        db.create_relation(RelationSchema::new("T", ["K", "V"]))
+            .unwrap();
+        db.create_relation(RelationSchema::new("S", ["A", "B"]))
+            .unwrap();
+        db.insert("T", Tuple::new(vec![Value::int(1), Value::NULL]))
+            .unwrap();
+        db.insert("T", tuple![2, 5]).unwrap();
+        db.insert("T", tuple![2, 6]).unwrap();
+        db.insert("S", Tuple::new(vec![Value::NULL, Value::int(3)]))
+            .unwrap();
+        let sigma = ConstraintSet::from_iter([
+            KeyConstraint::new("T", ["K"]),
+            KeyConstraint::new("S", ["A"]),
+        ]);
+        for text in ["Q(k, v) :- T(k, v)", "Q(k) :- T(k, v), S(v, w)"] {
+            let q = UnionQuery::single(parse_query(text).unwrap());
+            let planned = planned(&db, &sigma, &q);
+            match &planned.strategy {
+                Strategy::RepairEnumeration { reason } => {
+                    assert!(reason.contains("null"), "{text}: {reason}")
+                }
+                other => panic!("{text}: expected the fold, got {other:?}"),
+            }
+            assert!(planned.answers.is_empty(), "{text}");
+            let reference =
+                crate::cqa::consistent_answers(&db, &sigma, &q, &RepairClass::Subset).unwrap();
+            assert_eq!(planned.answers, reference, "{text}");
+        }
+        // A request that reads no null keeps the rewriting.
+        let q = UnionQuery::single(parse_query("Q(v) :- T(2, v)").unwrap());
+        assert_eq!(planned(&db, &sigma, &q).strategy, Strategy::FoRewriting);
     }
 
     #[test]

@@ -10,10 +10,11 @@
 //!   under primary keys (Fuxman–Miller \[64\], Koutris–Wijsen \[77\]): build the
 //!   **attack graph**; if it is acyclic the certain answers are computable by
 //!   an effectively constructible FO query, otherwise CQA for the query is
-//!   coNP-complete and the caller must fall back to repair enumeration.
+//!   coNP-complete and the caller must fall back to repair enumeration. The
+//!   same rewriting compiles to index probes ([`KeyPlan`]).
 
 pub mod keys;
 pub mod residue;
 
-pub use keys::{attack_graph, rewrite_key_query, AttackGraph, KeyRewriteError};
+pub use keys::{attack_graph, rewrite_key_query, AttackGraph, KeyPlan, KeyRewriteError, KeyRun};
 pub use residue::{residue_rewrite, ResidueRewriting};

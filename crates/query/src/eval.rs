@@ -210,6 +210,11 @@ impl VidBindings {
         }
     }
 
+    /// The vids of every bound variable, in variable order.
+    pub fn bound_vids(&self) -> impl Iterator<Item = Vid> + '_ {
+        self.slots.iter().flatten().copied()
+    }
+
     /// Resolve a term to a *value* through the view's dictionary (comparison
     /// filters operate on values, not ids).
     pub fn resolve_value<F: Facts + ?Sized>(&self, facts: &F, term: &Term) -> Option<Value> {
@@ -526,12 +531,10 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
 
     // Probe planning: for each atom (in join order), collect *every*
     // position whose vid will be known when the atom is reached — constants
-    // and variables bound by earlier atoms. Relations at or above the
-    // threshold probe the base's cached multi-column hash index on those
-    // positions, turning the scan into a bucket lookup (deleted tids
-    // filtered, insert overlay unioned). Under SQL semantics null probe keys
-    // bail out before the lookup, so nulls never join.
-    use crate::plan::INDEX_THRESHOLD;
+    // and variables bound by earlier atoms. [`probe_rows`] turns the scan
+    // into a bucket lookup on those positions when the relation is large
+    // enough. Under SQL semantics null probe keys bail out before the
+    // lookup, so nulls never join.
     let mut probe_cols: Vec<Vec<usize>> = vec![Vec::new(); cq.atoms.len()];
     {
         let mut bound: BTreeSet<Var> = BTreeSet::new();
@@ -539,18 +542,16 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
             let Some(atom) = cq.atoms.get(idx) else {
                 continue;
             };
-            if facts.relation_len(&atom.relation) >= INDEX_THRESHOLD {
-                if let Some(slot) = probe_cols.get_mut(idx) {
-                    *slot = atom
-                        .terms
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(pos, t)| match t {
-                            Term::Const(_) => Some(pos),
-                            Term::Var(v) => bound.contains(v).then_some(pos),
-                        })
-                        .collect();
-                }
+            if let Some(slot) = probe_cols.get_mut(idx) {
+                *slot = atom
+                    .terms
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(pos, t)| match t {
+                        Term::Const(_) => Some(pos),
+                        Term::Var(v) => bound.contains(v).then_some(pos),
+                    })
+                    .collect();
             }
             bound.extend(atom.vars());
         }
@@ -616,57 +617,29 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
             let av: &'b AtomVids = &self.atom_vids[atom_idx];
             let cols: &'b [usize] = &self.probe_cols[atom_idx];
             // Candidate rows: the probe bucket if indexed, else a scan.
-            let bucket: Option<Vec<(Tid, VidRow<'a>)>> = if cols.is_empty() {
-                None
-            } else {
-                let key: Option<Vec<Vid>> = cols
-                    .iter()
-                    .map(|&pos| match &atom.terms[pos] {
-                        Term::Const(_) => av.consts.get(pos).copied().flatten(),
-                        Term::Var(v) => bindings.get(*v),
-                    })
-                    .collect();
-                match key {
-                    Some(key) => {
-                        if self.mode == NullSemantics::Sql
-                            && key.iter().any(|&k| facts.vid_is_null(k))
-                        {
-                            return true; // null never joins: no matches
-                        }
-                        if self.indexes[atom_idx].is_none() {
-                            self.indexes[atom_idx] = facts.base().hash_index(&atom.relation, cols);
-                        }
-                        match self.indexes[atom_idx]
-                            .clone()
-                            .zip(facts.base().relation(&atom.relation))
-                        {
-                            Some((index, rel)) => {
-                                let store = rel.store();
-                                let mut pairs: Vec<(Tid, VidRow<'a>)> = Vec::new();
-                                for &pos in index.rows_for(&key) {
-                                    let pos = pos as usize;
-                                    let Some(tid) = store.tid_at(pos) else {
-                                        continue;
-                                    };
-                                    if facts.is_deleted(tid) {
-                                        continue;
-                                    }
-                                    if let Some(row) = store.row(pos) {
-                                        pairs.push((tid, row));
-                                    }
-                                }
-                                // Overlay rows are few: let the full match in
-                                // `step` filter them instead of pre-probing.
-                                for (tid, row) in facts.overlay_rows(&atom.relation) {
-                                    pairs.push((*tid, VidRow::Slice(row)));
-                                }
-                                Some(pairs)
-                            }
-                            None => None, // base lacks the relation: scan
-                        }
+            let key: Option<Vec<Vid>> = cols
+                .iter()
+                .map(|&pos| match &atom.terms[pos] {
+                    Term::Const(_) => av.consts.get(pos).copied().flatten(),
+                    Term::Var(v) => bindings.get(*v),
+                })
+                .collect();
+            let rows = match key {
+                Some(key) => {
+                    if self.mode == NullSemantics::Sql && key.iter().any(|&k| facts.vid_is_null(k))
+                    {
+                        return true; // null never joins: no matches
                     }
-                    None => None, // probe var unbound at runtime: scan
+                    probe_rows(
+                        facts,
+                        &atom.relation,
+                        cols,
+                        &key,
+                        &mut self.indexes[atom_idx],
+                    )
                 }
+                // Probe var unbound at runtime: scan.
+                None => ProbedRows::Scan(facts.vid_rows(&atom.relation)),
             };
 
             let step = |tid: Tid,
@@ -700,20 +673,9 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
                 }
             };
 
-            match bucket {
-                Some(pairs) => {
-                    for (tid, row) in pairs {
-                        if !step(tid, &row, self, bindings, tids, sink) {
-                            return false;
-                        }
-                    }
-                }
-                None => {
-                    for (tid, row) in facts.vid_rows(&atom.relation) {
-                        if !step(tid, &row, self, bindings, tids, sink) {
-                            return false;
-                        }
-                    }
+            for (tid, row) in rows {
+                if !step(tid, &row, self, bindings, tids, sink) {
+                    return false;
                 }
             }
             true
@@ -734,6 +696,71 @@ pub fn for_each_witness_vids_ordered<F: Facts + ?Sized>(
     let mut bindings = VidBindings::new(cq.vars.len());
     let mut tids: Vec<Tid> = vec![Tid(0); cq.atoms.len()];
     eval.recurse(0, &mut bindings, &mut tids, sink);
+}
+
+/// The rows of `relation` to try when the vids `key` are known at the
+/// positions `cols`. At or above [`crate::plan::INDEX_THRESHOLD`] visible
+/// rows this is the base's cached hash-index bucket on `cols`, deleted tids
+/// skipped, followed by the view's whole insert overlay; otherwise (no
+/// known position, a small relation, or one only the overlay holds) it is
+/// every visible row. Only the bucket is filtered on `key`, so callers
+/// still match each row in full. `index` memoizes the base index: pass the
+/// same slot for every probe on the same `(relation, cols)`.
+pub fn probe_rows<'a, F: Facts + ?Sized>(
+    facts: &'a F,
+    relation: &str,
+    cols: &[usize],
+    key: &[Vid],
+    index: &mut Option<Arc<HashIndex>>,
+) -> ProbedRows<'a> {
+    if index.is_none()
+        && !cols.is_empty()
+        && facts.relation_len(relation) >= crate::plan::INDEX_THRESHOLD
+    {
+        *index = facts.base().hash_index(relation, cols);
+    }
+    let Some((index, rel)) = index.as_ref().zip(facts.base().relation(relation)) else {
+        return ProbedRows::Scan(facts.vid_rows(relation));
+    };
+    let store = rel.store();
+    let mut bucket: Vec<(Tid, VidRow<'a>)> = index
+        .rows_for(key)
+        .iter()
+        .filter_map(|&pos| {
+            let tid = store.tid_at(pos as usize)?;
+            if facts.is_deleted(tid) {
+                return None;
+            }
+            Some((tid, store.row(pos as usize)?))
+        })
+        .collect();
+    // Overlay rows are few: the caller's full match filters them.
+    bucket.extend(
+        facts
+            .overlay_rows(relation)
+            .iter()
+            .map(|(tid, row)| (*tid, VidRow::Slice(row))),
+    );
+    ProbedRows::Bucket(bucket.into_iter())
+}
+
+/// The rows [`probe_rows`] hands out, in tid order.
+pub enum ProbedRows<'a> {
+    /// An index bucket, then the insert overlay.
+    Bucket(std::vec::IntoIter<(Tid, VidRow<'a>)>),
+    /// Every visible row.
+    Scan(Box<dyn Iterator<Item = (Tid, VidRow<'a>)> + 'a>),
+}
+
+impl<'a> Iterator for ProbedRows<'a> {
+    type Item = (Tid, VidRow<'a>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        match self {
+            ProbedRows::Bucket(rows) => rows.next(),
+            ProbedRows::Scan(rows) => rows.next(),
+        }
+    }
 }
 
 /// All witnesses of `cq` over the visible facts.
@@ -766,33 +793,36 @@ pub fn eval_cq<F: Facts + ?Sized>(
     // order is the resolved tuples' Value order, never the id order.
     let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
     for_each_witness_vids(facts, cq, mode, &mut |bindings, _| {
-        let mut key = Vec::with_capacity(cq.head.len());
-        for t in &cq.head {
-            if let Term::Var(v) = t {
-                match bindings.get(*v) {
-                    Some(vid) => key.push(vid),
-                    None => return true, // unbound head var: no projection
-                }
-            }
-        }
-        distinct.insert(key);
+        distinct.extend(head_vids(bindings, &cq.head));
         true
     });
-    resolve_distinct_answers(facts, cq, &distinct)
+    resolve_answers(facts, &cq.head, &distinct)
 }
 
-/// Resolve deduplicated id-space answer keys into value-space tuples.
-fn resolve_distinct_answers<F: Facts + ?Sized>(
+/// The vids of `head`'s variables under `bindings`, in head order; the
+/// constants are left out ([`resolve_answers`] puts them back). `None` when
+/// a head variable is unbound.
+pub fn head_vids(bindings: &VidBindings, head: &[Term]) -> Option<Vec<Vid>> {
+    head.iter()
+        .filter_map(Term::as_var)
+        .map(|v| bindings.get(v))
+        .collect()
+}
+
+/// Resolve deduplicated id-space answers (as [`head_vids`] projects them)
+/// into value tuples over `head`: resolve, then sort into the output set,
+/// so the order is the tuples' value order, never the id order.
+pub fn resolve_answers<F: Facts + ?Sized>(
     facts: &F,
-    cq: &ConjunctiveQuery,
+    head: &[Term],
     distinct: &BTreeSet<Vec<Vid>>,
 ) -> BTreeSet<Tuple> {
     let mut cache: WordHashMap<Vid, Value> = WordHashMap::default();
     let mut out = BTreeSet::new();
     'answers: for key in distinct {
-        let mut vals = Vec::with_capacity(cq.head.len());
+        let mut vals = Vec::with_capacity(head.len());
         let mut vids = key.iter();
-        for t in &cq.head {
+        for t in head {
             match t {
                 Term::Const(v) => vals.push(v.clone()),
                 Term::Var(_) => {
@@ -822,19 +852,10 @@ pub fn eval_cq_ordered<F: Facts + ?Sized>(
 ) -> BTreeSet<Tuple> {
     let mut distinct: BTreeSet<Vec<Vid>> = BTreeSet::new();
     for_each_witness_vids_ordered(facts, cq, mode, order, &mut |bindings, _| {
-        let mut key = Vec::with_capacity(cq.head.len());
-        for t in &cq.head {
-            if let Term::Var(v) = t {
-                match bindings.get(*v) {
-                    Some(vid) => key.push(vid),
-                    None => return true,
-                }
-            }
-        }
-        distinct.insert(key);
+        distinct.extend(head_vids(bindings, &cq.head));
         true
     });
-    resolve_distinct_answers(facts, cq, &distinct)
+    resolve_answers(facts, &cq.head, &distinct)
 }
 
 /// Evaluate a union of conjunctive queries.

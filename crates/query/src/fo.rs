@@ -11,25 +11,35 @@
 use crate::ast::{Atom, Fo, FoQuery, Term, Var};
 use crate::eval::{match_atom, Bindings, NullSemantics};
 use cqa_relation::{Database, Tuple, Value};
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 
-/// Evaluation context: database, semantics, and the (lazily built) domain for
-/// fallback enumeration.
+/// Evaluation context: database, semantics, and the domain for fallback
+/// enumeration, built on the first fallback (most formulas never need it).
 struct Ctx<'a> {
     db: &'a Database,
     mode: NullSemantics,
-    domain: Vec<Value>,
+    formula: &'a Fo,
+    domain: OnceCell<Vec<Value>>,
 }
 
 impl<'a> Ctx<'a> {
-    fn new(db: &'a Database, mode: NullSemantics, q: &FoQuery) -> Ctx<'a> {
-        let mut dom: BTreeSet<Value> = db.active_domain();
-        collect_constants(&q.formula, &mut dom);
+    fn new(db: &'a Database, mode: NullSemantics, q: &'a FoQuery) -> Ctx<'a> {
         Ctx {
             db,
             mode,
-            domain: dom.into_iter().collect(),
+            formula: &q.formula,
+            domain: OnceCell::new(),
         }
+    }
+
+    /// The active domain plus the formula's constants, in value order.
+    fn domain(&self) -> &[Value] {
+        self.domain.get_or_init(|| {
+            let mut dom: BTreeSet<Value> = self.db.active_domain();
+            collect_constants(self.formula, &mut dom);
+            dom.into_iter().collect()
+        })
     }
 
     /// Is the closed-under-`binding` formula `fo` true?
@@ -46,19 +56,13 @@ impl<'a> Ctx<'a> {
             Fo::And(parts) => parts.iter().all(|p| self.sat(p, binding)),
             Fo::Or(parts) => parts.iter().any(|p| self.sat(p, binding)),
             Fo::Not(g) => !self.sat(g, binding),
-            Fo::Exists(vars, g) => {
+            Fo::Exists(_, g) => {
+                // `enumerate` leaves `binding` untouched on return.
                 let mut found = false;
-                self.enumerate(g, binding, &mut |_, b| {
+                self.enumerate(g, binding, &mut |_, _| {
                     found = true;
-                    let _ = b;
                     false
                 });
-                // `enumerate` leaves `binding` untouched on return; but the
-                // quantified vars may have leaked if they were already bound
-                // outside — Exists shadows, so unbind defensively.
-                for v in vars {
-                    let _ = v;
-                }
                 found
             }
         }
@@ -268,7 +272,7 @@ impl<'a> Ctx<'a> {
                 }
                 return true;
             }
-            for val in &ctx.domain {
+            for val in ctx.domain() {
                 binding.set(unbound[depth], val.clone());
                 let go_on = go(ctx, fo, unbound, depth + 1, binding, sink);
                 binding.unset(unbound[depth]);

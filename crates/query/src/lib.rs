@@ -41,8 +41,9 @@ pub use ast::{
 };
 pub use datalog::{Literal, Program, Rule};
 pub use eval::{
-    eval_cq, eval_cq_ordered, eval_ucq, for_each_witness, holds, holds_ucq, match_atom,
-    match_atom_vids, witnesses, AtomVids, Bindings, NullSemantics, VidBindings, Witness,
+    eval_cq, eval_cq_ordered, eval_ucq, for_each_witness, for_each_witness_vids, head_vids, holds,
+    holds_ucq, match_atom, match_atom_vids, probe_rows, resolve_answers, witnesses, AtomVids,
+    Bindings, NullSemantics, ProbedRows, VidBindings, Witness,
 };
 pub use fo::{eval_fo, holds_fo};
 pub use magic::{magic_rewrite, MagicProgram};
